@@ -9,6 +9,11 @@
 // im2col path and the tall-skinny 4096×d AᵀA factor shape. Results land in
 // BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact.
 //
+// A second section times the kernels a ResNet-20 width-8 training step runs
+// on every iteration — the K-FAC factor syrks and the conv weight-gradient
+// gemms — at 1 and 2 OpenMP threads, so a schedule that stops scaling with
+// the thread count shows up here. Every number is report-only.
+//
 // This file is compiled WITHOUT the native-arch flags (bench/ uses the
 // default arch), so "legacy" is measured exactly as the seed built it.
 #include <omp.h>
@@ -132,6 +137,7 @@ struct Row {
   double legacy_ms = 0.0;
   double new_ms = 0.0;
   double flops = 0.0;  // 0 → report ms only
+  int threads = 1;
 };
 
 double gflops(double flops, double ms) {
@@ -142,12 +148,14 @@ double gflops(double flops, double ms) {
 
 int main() {
   // Pin to one thread: the recorded trajectory is a single-thread GFLOP/s
-  // comparison, stable across CI runners with different core counts.
+  // comparison, stable across CI runners with different core counts. Only
+  // the training-kernel rows also run at 2 threads.
   omp_set_num_threads(1);
   std::printf("\n================================================================\n");
   std::printf("Ablation — legacy scalar kernels vs packed micro-kernel linalg\n");
   std::printf("================================================================\n");
-  std::printf("threads pinned to 1 (single-thread kernel comparison)\n");
+  std::printf("threads pinned to 1 (single-thread kernel comparison); "
+              "training-kernel rows at 1 and 2\n");
 
   std::vector<Row> rows;
   const int reps = 5;
@@ -238,14 +246,62 @@ int main() {
     rows.push_back(eig_row);
   }
 
+  // ResNet-20 width-8 training kernels at batch 32 on 16×16 inputs, at 1 and
+  // 2 threads: the K-FAC A/G factor syrks (rows = N·OH·OW, d = factor dim)
+  // and the conv weight gradient dW = grad_rowsᵀ·patches (out-channels ×
+  // patch dim, reduced over the same rows).
+  struct TrainShape {
+    const char* kind;
+    int64_t rows, m, n;  // syrk: m = n = d
+  };
+  const TrainShape train_shapes[] = {
+      {"syrk_factor", 8192, 8, 8},     {"syrk_factor", 8192, 27, 27},
+      {"syrk_factor", 8192, 72, 72},   {"syrk_factor", 2048, 144, 144},
+      {"syrk_factor", 512, 288, 288},  {"gemm_conv_dw", 8192, 8, 27},
+      {"gemm_conv_dw", 8192, 8, 72},   {"gemm_conv_dw", 2048, 16, 72},
+      {"gemm_conv_dw", 2048, 16, 144}, {"gemm_conv_dw", 512, 32, 144},
+      {"gemm_conv_dw", 512, 32, 288}};
+  const int train_reps = 41;
+  for (const TrainShape& shape : train_shapes) {
+    const bool is_syrk = std::string(shape.kind) == "syrk_factor";
+    Rng rng(5);
+    const Tensor x = Tensor::randn(Shape{shape.rows, shape.n}, rng);
+    const Tensor g = Tensor::randn(Shape{shape.rows, shape.m}, rng);
+    Tensor c(Shape{shape.m, shape.n});
+    const float scale = 1.0f / static_cast<float>(shape.rows);
+    for (int threads : {1, 2}) {
+      omp_set_num_threads(threads);
+      Row row{std::string(shape.kind) + "_" + std::to_string(shape.rows) +
+                  "x" + std::to_string(shape.m) + "x" + std::to_string(shape.n),
+              0, 0,
+              2.0 * static_cast<double>(shape.rows) * shape.m * shape.n,
+              threads};
+      const Tensor& lhs = is_syrk ? x : g;
+      row.legacy_ms = time_ms(
+          [&] { legacy_gemm(scale, lhs, Trans::kYes, x, Trans::kNo, 0.0f, c); },
+          train_reps);
+      row.new_ms = time_ms(
+          [&] {
+            if (is_syrk) {
+              linalg::syrk(scale, x, Trans::kYes, 0.0f, c);
+            } else {
+              linalg::gemm(scale, g, Trans::kYes, x, Trans::kNo, 0.0f, c);
+            }
+          },
+          train_reps);
+      rows.push_back(row);
+    }
+  }
+  omp_set_num_threads(1);
+
   // ---- report -------------------------------------------------------------
-  std::printf("\n%-22s %12s %12s %10s %10s %9s\n", "kernel", "legacy ms",
-              "new ms", "legacy GF", "new GF", "speedup");
+  std::printf("\n%-28s %7s %12s %12s %10s %10s %9s\n", "kernel", "threads",
+              "legacy ms", "new ms", "legacy GF", "new GF", "speedup");
   for (const Row& row : rows) {
     const double speedup =
         row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms : 0.0;
-    std::printf("%-22s %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
-                row.kernel.c_str(), row.legacy_ms, row.new_ms,
+    std::printf("%-28s %7d %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
+                row.kernel.c_str(), row.threads, row.legacy_ms, row.new_ms,
                 gflops(row.flops, row.legacy_ms), gflops(row.flops, row.new_ms),
                 speedup);
   }
@@ -253,7 +309,6 @@ int main() {
   FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"bench\": \"ablation_kernels\",\n");
-    std::fprintf(json, "  \"threads\": 1,\n");
     std::fprintf(json, "  \"results\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
@@ -261,10 +316,11 @@ int main() {
           row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms
                                                   : 0.0;
       std::fprintf(json,
-                   "    {\"kernel\": \"%s\", \"legacy_ms\": %.4f, "
-                   "\"new_ms\": %.4f, \"legacy_gflops\": %.3f, "
-                   "\"new_gflops\": %.3f, \"speedup\": %.3f}%s\n",
-                   row.kernel.c_str(), row.legacy_ms, row.new_ms,
+                   "    {\"kernel\": \"%s\", \"threads\": %d, "
+                   "\"legacy_ms\": %.4f, \"new_ms\": %.4f, "
+                   "\"legacy_gflops\": %.3f, \"new_gflops\": %.3f, "
+                   "\"speedup\": %.3f}%s\n",
+                   row.kernel.c_str(), row.threads, row.legacy_ms, row.new_ms,
                    gflops(row.flops, row.legacy_ms),
                    gflops(row.flops, row.new_ms), speedup,
                    i + 1 < rows.size() ? "," : "");

@@ -78,7 +78,7 @@ void expect_thread_invariant(Fn&& fn, const char* what) {
   const int original = omp_get_max_threads();
   omp_set_num_threads(1);
   const Tensor baseline = fn();
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 8}) {
     omp_set_num_threads(threads);
     const Tensor run = fn();
     EXPECT_TRUE(bitwise_equal(run, baseline))
@@ -177,9 +177,15 @@ TEST(GemmEdges, ZeroTimesInfPropagatesAsNaN) {
 TEST(Syrk, BitwiseMatchesGemmTransposedGram) {
   // syrk(αAᵀA) must equal gemm(α, Aᵀ, A) bit for bit: same packing, same
   // blocking, same per-element accumulation order, and the mirrored lower
-  // triangle matches because fp multiply/FMA commute bitwise.
+  // triangle matches because fp multiply/FMA commute bitwise. The K-FAC
+  // factor shapes cover many k-slabs (8192 rows = 32·kKc), a triangle of
+  // several A-panels (d = 288 > kMc), a single column sliver (d = 8) and,
+  // with d = 1100 > kNc, more than one B-panel.
+  static_assert(8192 >= 5 * detail::kKC && 288 > detail::kMC &&
+                8 <= detail::kNR && 1100 > detail::kNC);
   for (auto [rows, d] : {std::pair<int64_t, int64_t>{5, 3},
-                         {64, 17}, {300, 33}, {257, 96}}) {
+                         {64, 17}, {300, 33}, {257, 96}, {8192, 72},
+                         {512, 288}, {8192, 8}, {20, 1100}}) {
     Rng rng(static_cast<uint64_t>(rows * 131 + d));
     Tensor a = Tensor::randn(Shape{rows, d}, rng);
     Tensor via_gemm(Shape{d, d});
@@ -354,6 +360,19 @@ TEST(ThreadInvariance, GemmAllTransCombos) {
                           "gemm NT");
   expect_thread_invariant(
       [&] { return matmul(at, bt, Trans::kYes, Trans::kYes); }, "gemm TT");
+
+  // The conv weight gradient dW = grad_rowsᵀ·patches: 8 output channels
+  // (two row slivers), 3×3×8 patch columns, 8192 rows of k.
+  const Tensor grad_rows = Tensor::randn(Shape{8192, 8}, rng);
+  const Tensor patches = Tensor::randn(Shape{8192, 72}, rng);
+  expect_thread_invariant(
+      [&] { return matmul(grad_rows, patches, Trans::kYes, Trans::kNo); },
+      "conv dW gemm TN");
+  // 1100 output columns: two B-panels (kNc = 1024) over four row slivers.
+  const Tensor few_rows = Tensor::randn(Shape{20, 300}, rng);
+  const Tensor wide = Tensor::randn(Shape{300, 1100}, rng);
+  expect_thread_invariant([&] { return matmul(few_rows, wide); },
+                          "gemm 20x300x1100");
 }
 
 TEST(ThreadInvariance, SyrkGemvTranspose) {
@@ -368,6 +387,19 @@ TEST(ThreadInvariance, SyrkGemvTranspose) {
         return c;
       },
       "syrk");
+  // K-FAC factor shapes: many k-slabs, a triangle over several A-panels,
+  // one column sliver.
+  for (auto [rows, d] : {std::pair<int64_t, int64_t>{8192, 72},
+                         {512, 288}, {8192, 8}}) {
+    const Tensor f = Tensor::randn(Shape{rows, d}, rng);
+    expect_thread_invariant(
+        [&] {
+          Tensor c(Shape{d, d});
+          syrk(1.0f / static_cast<float>(rows), f, Trans::kYes, 0.0f, c);
+          return c;
+        },
+        "syrk factor shape");
+  }
   expect_thread_invariant(
       [&] {
         Tensor y(Shape{301});
