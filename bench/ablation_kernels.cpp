@@ -14,6 +14,11 @@
 // gemms — at 1 and 2 OpenMP threads, so a schedule that stops scaling with
 // the thread count shows up here. Every number is report-only.
 //
+// A third section times the element-wise glue around the conv GEMMs —
+// im2col, col2im, ReLU and BatchNorm forward/backward — on the ResNet-20
+// width-8 stage shapes at 1 and 2 threads, the reference loops of
+// tests/nn/legacy_kernels.hpp against the library's layers.
+//
 // This file is compiled WITHOUT the native-arch flags (bench/ uses the
 // default arch), so "legacy" is measured exactly as the seed built it.
 #include <omp.h>
@@ -29,6 +34,10 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
+#include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/legacy_kernels.hpp"
 #include "tensor/random.hpp"
 
 namespace {
@@ -290,6 +299,53 @@ int main() {
           },
           train_reps);
       rows.push_back(row);
+    }
+  }
+  omp_set_num_threads(1);
+
+  // nn glue on the ResNet-20 width-8 stage inputs at batch 32: stage s of
+  // 1..3 is [32, 8·2^(s−1), 16/2^(s−1), 16/2^(s−1)], through a 3×3 s1 p1 conv.
+  // Legacy is the reference loop; new is the library's kernel, or its layer
+  // in a steady step (kept buffers already sized).
+  const int glue_reps = 41;
+  for (int stage = 1; stage <= 3; ++stage) {
+    const int64_t channels = 8 << (stage - 1), side = 16 >> (stage - 1);
+    const Shape shape{32, channels, side, side};
+    const std::string suffix = "_s" + std::to_string(stage) + "_32x" +
+                               std::to_string(channels) + "x" +
+                               std::to_string(side) + "x" + std::to_string(side);
+    Rng rng(6);
+    const Tensor x = Tensor::randn(shape, rng);
+    const Tensor dy = Tensor::randn(shape, rng);
+    const Tensor grad_cols = Tensor::randn(nn::im2col(x, 3, 1, 1).shape(), rng);
+    nn::ReLU relu;
+    nn::BatchNorm2d bn(channels);
+    std::vector<uint8_t> mask;
+    nn::legacy::BatchNorm ref;
+    ref.gamma = Tensor::ones(Shape{channels});
+    ref.beta = ref.gamma_grad = ref.beta_grad = ref.running_mean =
+        Tensor(Shape{channels});
+    ref.running_var = Tensor::ones(Shape{channels});
+    for (int threads : {1, 2}) {
+      omp_set_num_threads(threads);
+      const auto add = [&](const char* kernel, auto&& legacy, auto&& current) {
+        Row row{kernel + suffix, 0, 0, 0.0, threads};
+        row.legacy_ms = time_ms(legacy, glue_reps);
+        row.new_ms = time_ms(current, glue_reps);
+        rows.push_back(row);
+      };
+      add("im2col", [&] { nn::legacy::im2col(x, 3, 1, 1); },
+          [&] { nn::im2col(x, 3, 1, 1); });
+      add("col2im", [&] { nn::legacy::col2im(grad_cols, shape, 3, 1, 1); },
+          [&] { nn::col2im(grad_cols, shape, 3, 1, 1); });
+      add("relu_fwd", [&] { nn::legacy::relu_forward(x, mask); },
+          [&] { relu.forward(x); });
+      add("relu_bwd", [&] { nn::legacy::relu_backward(dy, mask); },
+          [&] { relu.backward(dy); });
+      add("batchnorm_fwd", [&] { nn::legacy::batchnorm_forward(ref, x, true); },
+          [&] { bn.forward(x); });
+      add("batchnorm_bwd", [&] { nn::legacy::batchnorm_backward(ref, dy); },
+          [&] { bn.backward(dy); });
     }
   }
   omp_set_num_threads(1);

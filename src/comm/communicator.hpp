@@ -235,9 +235,6 @@ class Communicator {
     stats_.factor_packed_bytes += packed_bytes;
     stats_.factor_encoded_bytes += encoded_bytes;
   }
-  void record_factor_volume(uint64_t dense_bytes, uint64_t packed_bytes) {
-    record_factor_volume(dense_bytes, packed_bytes, packed_bytes);
-  }
 
   /// Records one decomposition allgather: `dense_bytes` is the dense
   /// payload, `actual_bytes` what was really gathered (equal when the

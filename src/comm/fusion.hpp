@@ -58,13 +58,6 @@ class FusionBuffer {
   /// chunks (each chunk is one collective). Clears the registration list.
   void execute(ReduceOp op);
 
-  /// No-op. The staging vector this used to free is gone — staging now
-  /// lives in an arena block that is retained (and rewound) by design, so
-  /// there is nothing to release and no regrow-on-next-execute cost to
-  /// dodge. Kept for one release so existing call sites keep compiling.
-  [[deprecated("staging lives in a retained arena block; call is a no-op")]]
-  void release_staging() {}
-
   /// Declares warm-up over for the private staging arena: any further
   /// heap growth counts as steady_state_allocs.
   void mark_steady_state() { staging_arena_.mark_steady_state(); }

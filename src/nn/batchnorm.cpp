@@ -15,7 +15,8 @@ BatchNorm2d::BatchNorm2d(int64_t channels, std::string name, float momentum,
       gamma_(name_ + ".gamma", Tensor::ones(Shape{channels})),
       beta_(name_ + ".beta", Tensor(Shape{channels})),
       running_mean_(Shape{channels}),
-      running_var_(Tensor::ones(Shape{channels})) {
+      running_var_(Tensor::ones(Shape{channels})),
+      batch_inv_std_(Shape{channels}) {
   DKFAC_CHECK(channels > 0);
 }
 
@@ -23,115 +24,103 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   DKFAC_CHECK(x.ndim() == 4 && x.dim(1) == channels_)
       << name_ << ": input " << x.shape() << " expected [N, " << channels_
       << ", H, W]";
-  const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int64_t count = n * h * w;
+  const int64_t n = x.dim(0), hw = x.dim(2) * x.dim(3);
+  const int64_t count = n * hw;
   DKFAC_CHECK(count > 0) << name_ << ": empty batch";
 
-  Tensor mean(Shape{channels_});
-  Tensor var(Shape{channels_});
-  if (training()) {
-    for (int64_t c = 0; c < channels_; ++c) {
+  const bool train = training();
+  if (train) {
+    input_shape_ = x.shape();
+    xhat_.resize_(x.shape());
+    has_batch_ = true;
+  }
+  Tensor y = Tensor::uninitialized(x.shape());
+  // Running estimates use the unbiased variance, matching PyTorch.
+  const float unbias = count > 1 ? static_cast<float>(count) / (count - 1) : 1.0f;
+
+  // Channels are independent: threads split them, and each channel's
+  // double-precision sums run serially in (sample, position) order, so the
+  // statistics do not depend on the thread count.
+#pragma omp parallel for schedule(static)
+  for (int64_t c = 0; c < channels_; ++c) {
+    float mean = running_mean_[c];
+    float var = running_var_[c];
+    if (train) {
       double sum = 0.0;
       for (int64_t b = 0; b < n; ++b) {
-        const float* src = x.data() + (b * channels_ + c) * h * w;
-        for (int64_t i = 0; i < h * w; ++i) sum += src[i];
+        const float* src = x.data() + (b * channels_ + c) * hw;
+        for (int64_t i = 0; i < hw; ++i) sum += src[i];
       }
-      mean[c] = static_cast<float>(sum / count);
-    }
-    for (int64_t c = 0; c < channels_; ++c) {
-      double sum = 0.0;
+      mean = static_cast<float>(sum / count);
+      double sq = 0.0;
       for (int64_t b = 0; b < n; ++b) {
-        const float* src = x.data() + (b * channels_ + c) * h * w;
-        for (int64_t i = 0; i < h * w; ++i) {
-          const double d = src[i] - mean[c];
-          sum += d * d;
+        const float* src = x.data() + (b * channels_ + c) * hw;
+        for (int64_t i = 0; i < hw; ++i) {
+          const double d = src[i] - mean;
+          sq += d * d;
         }
       }
-      var[c] = static_cast<float>(sum / count);  // biased, as PyTorch normalises
-    }
-    // Running estimates use the unbiased variance, matching PyTorch.
-    const float unbias = count > 1 ? static_cast<float>(count) / (count - 1) : 1.0f;
-    for (int64_t c = 0; c < channels_; ++c) {
-      running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
+      var = static_cast<float>(sq / count);  // biased, as PyTorch normalises
+      running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean;
       running_var_[c] =
-          (1.0f - momentum_) * running_var_[c] + momentum_ * var[c] * unbias;
+          (1.0f - momentum_) * running_var_[c] + momentum_ * var * unbias;
     }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
-  }
-
-  Tensor inv_std(Shape{channels_});
-  for (int64_t c = 0; c < channels_; ++c) {
-    inv_std[c] = 1.0f / std::sqrt(var[c] + epsilon_);
-  }
-
-  Tensor y(x.shape());
-  Tensor xhat(x.shape());
-#pragma omp parallel for schedule(static)
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t c = 0; c < channels_; ++c) {
-      const float* src = x.data() + (b * channels_ + c) * h * w;
-      float* xh = xhat.data() + (b * channels_ + c) * h * w;
-      float* dst = y.data() + (b * channels_ + c) * h * w;
-      const float m = mean[c], is = inv_std[c], g = gamma_.value[c],
-                  bt = beta_.value[c];
-      for (int64_t i = 0; i < h * w; ++i) {
-        xh[i] = (src[i] - m) * is;
-        dst[i] = g * xh[i] + bt;
+    const float is = 1.0f / std::sqrt(var + epsilon_);
+    const float g = gamma_.value[c], bt = beta_.value[c];
+    for (int64_t b = 0; b < n; ++b) {
+      const int64_t offset = (b * channels_ + c) * hw;
+      const float* src = x.data() + offset;
+      float* dst = y.data() + offset;
+      if (train) {
+        float* xh = xhat_.data() + offset;
+        for (int64_t i = 0; i < hw; ++i) {
+          xh[i] = (src[i] - mean) * is;
+          dst[i] = g * xh[i] + bt;
+        }
+      } else {
+        for (int64_t i = 0; i < hw; ++i) dst[i] = g * ((src[i] - mean) * is) + bt;
       }
     }
-  }
-
-  if (training()) {
-    input_ = x;
-    xhat_ = std::move(xhat);
-    batch_mean_ = std::move(mean);
-    batch_inv_std_ = std::move(inv_std);
-    has_batch_ = true;
+    if (train) batch_inv_std_[c] = is;
   }
   return y;
 }
 
 Tensor BatchNorm2d::backward_impl(const Tensor& grad_output) {
   DKFAC_CHECK(has_batch_) << name_ << ": backward before training forward";
-  DKFAC_CHECK(grad_output.shape() == input_.shape())
+  DKFAC_CHECK(grad_output.shape() == input_shape_)
       << name_ << ": grad shape " << grad_output.shape();
-  const int64_t n = input_.dim(0), h = input_.dim(2), w = input_.dim(3);
-  const int64_t count = n * h * w;
+  const int64_t n = input_shape_[0], hw = input_shape_[2] * input_shape_[3];
+  const int64_t count = n * hw;
+  const float inv_count = 1.0f / static_cast<float>(count);
+  Tensor dx = Tensor::uninitialized(input_shape_);
 
-  // Per-channel reductions: dγ = Σ dy·x̂, dβ = Σ dy.
-  Tensor sum_dy(Shape{channels_});
-  Tensor sum_dy_xhat(Shape{channels_});
+#pragma omp parallel for schedule(static)
   for (int64_t c = 0; c < channels_; ++c) {
+    // Per-channel reductions: dγ = Σ dy·x̂, dβ = Σ dy.
     double s1 = 0.0, s2 = 0.0;
     for (int64_t b = 0; b < n; ++b) {
-      const float* dy = grad_output.data() + (b * channels_ + c) * h * w;
-      const float* xh = xhat_.data() + (b * channels_ + c) * h * w;
-      for (int64_t i = 0; i < h * w; ++i) {
+      const float* dy = grad_output.data() + (b * channels_ + c) * hw;
+      const float* xh = xhat_.data() + (b * channels_ + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
         s1 += dy[i];
         s2 += static_cast<double>(dy[i]) * xh[i];
       }
     }
-    sum_dy[c] = static_cast<float>(s1);
-    sum_dy_xhat[c] = static_cast<float>(s2);
-    gamma_.grad[c] += sum_dy_xhat[c];
-    beta_.grad[c] += sum_dy[c];
-  }
+    const float sum_dy = static_cast<float>(s1);
+    const float sum_dy_xhat = static_cast<float>(s2);
+    gamma_.grad[c] += sum_dy_xhat;
+    beta_.grad[c] += sum_dy;
 
-  // dx = γ·inv_std/count · (count·dy − Σdy − x̂·Σ(dy·x̂)).
-  Tensor dx(input_.shape());
-  const float inv_count = 1.0f / static_cast<float>(count);
-#pragma omp parallel for schedule(static)
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t c = 0; c < channels_; ++c) {
-      const float* dy = grad_output.data() + (b * channels_ + c) * h * w;
-      const float* xh = xhat_.data() + (b * channels_ + c) * h * w;
-      float* out = dx.data() + (b * channels_ + c) * h * w;
-      const float k = gamma_.value[c] * batch_inv_std_[c] * inv_count;
-      const float s1 = sum_dy[c], s2 = sum_dy_xhat[c];
-      for (int64_t i = 0; i < h * w; ++i) {
-        out[i] = k * (static_cast<float>(count) * dy[i] - s1 - xh[i] * s2);
+    // dx = γ·inv_std/count · (count·dy − Σdy − x̂·Σ(dy·x̂)).
+    const float k = gamma_.value[c] * batch_inv_std_[c] * inv_count;
+    for (int64_t b = 0; b < n; ++b) {
+      const int64_t offset = (b * channels_ + c) * hw;
+      const float* dy = grad_output.data() + offset;
+      const float* xh = xhat_.data() + offset;
+      float* out = dx.data() + offset;
+      for (int64_t i = 0; i < hw; ++i) {
+        out[i] = k * (static_cast<float>(count) * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
       }
     }
   }

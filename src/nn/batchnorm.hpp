@@ -36,11 +36,11 @@ class BatchNorm2d final : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // Cached batch state for backward.
-  Tensor input_;
-  Tensor xhat_;
-  Tensor batch_mean_;
-  Tensor batch_inv_std_;
+  // State of the last training forward, kept for backward in reused
+  // buffers; evaluation forwards leave it untouched.
+  Shape input_shape_{0};
+  Tensor xhat_;           // normalised input, input_shape_
+  Tensor batch_inv_std_;  // [channels]
   bool has_batch_ = false;
 };
 

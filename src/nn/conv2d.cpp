@@ -9,7 +9,6 @@
 namespace dkfac::nn {
 
 using linalg::gemm;
-using linalg::matmul;
 using linalg::syrk;
 using linalg::Trans;
 
@@ -21,33 +20,108 @@ int64_t conv_out_size(int64_t in, int64_t kernel, int64_t stride, int64_t paddin
   return out;
 }
 
+namespace {
+
+/// Per-thread scratch for one image's transients in a conv call: its patch
+/// rows (or their gradients) and its GEMM output rows. Each slot serves
+/// every Conv2d the thread runs: it grows to the largest and keeps its
+/// storage.
+enum Slot { kImagePatches, kImageRows, kSlots };
+Tensor& scratch(Slot slot, Shape shape) {
+  thread_local Tensor buffers[kSlots];
+  return buffers[slot].resize_(std::move(shape));
+}
+
+/// Output columns [lo, hi) whose kernel tap `kw` lands inside a row of
+/// `w` pixels: 0 <= col·stride − padding + kw < w.
+struct ColumnRange {
+  int64_t lo, hi;
+};
+
+ColumnRange inside_columns(int64_t kw, int64_t w, int64_t ow, int64_t stride,
+                           int64_t padding) {
+  const int64_t offset = kw - padding;
+  const int64_t lo = std::min(ow, offset >= 0 ? 0 : (stride - 1 - offset) / stride);
+  const int64_t last = w - 1 - offset;  // col·stride must not exceed this
+  const int64_t hi = last < 0 ? lo : std::clamp(last / stride + 1, lo, ow);
+  return {lo, hi};
+}
+
+/// im2col of output row r of one C×H×W image: writes its OW patch rows to
+/// `block` tap by tap — for each (kw, ch, kh) one strided column of the
+/// block, zeros where the tap falls in the padding, otherwise a gather
+/// along one input row. The block stays in L1 while it is filled.
+void im2col_row(const float* src, int64_t c, int64_t h, int64_t w, int64_t r,
+                int64_t kernel, int64_t stride, int64_t padding, float* block) {
+  const int64_t ow = conv_out_size(w, kernel, stride, padding);
+  const int64_t patch_dim = c * kernel * kernel;
+  const int64_t h0 = r * stride - padding;
+  for (int64_t kw = 0; kw < kernel; ++kw) {
+    const ColumnRange inside = inside_columns(kw, w, ow, stride, padding);
+    for (int64_t ch = 0; ch < c; ++ch) {
+      for (int64_t kh = 0; kh < kernel; ++kh) {
+        float* dst = block + (ch * kernel + kh) * kernel + kw;
+        const int64_t hh = h0 + kh;
+        const ColumnRange in = hh >= 0 && hh < h ? inside : ColumnRange{ow, ow};
+        for (int64_t col = 0; col < in.lo; ++col) dst[col * patch_dim] = 0.0f;
+        if (in.lo < in.hi) {
+          const float* row = src + (ch * h + hh) * w;
+          for (int64_t col = in.lo; col < in.hi; ++col) {
+            dst[col * patch_dim] = row[col * stride + kw - padding];
+          }
+        }
+        for (int64_t col = in.hi; col < ow; ++col) dst[col * patch_dim] = 0.0f;
+      }
+    }
+  }
+}
+
+/// col2im of one image: folds its OH·OW patch-gradient rows `block` into
+/// the C×H×W image `dst`, which it overwrites. Every image element receives
+/// its contributions in ascending (r, col) order, as a position-by-position
+/// scatter adds them. Within one output row r a tap (kw, ch, kh) adds a
+/// strided column of the block into one input row, and an element gets at
+/// most one contribution per tap; a lower kw means a higher col, so walking
+/// kw downwards and col upwards keeps that order.
+void col2im_image(const float* block, int64_t c, int64_t h, int64_t w,
+                  int64_t kernel, int64_t stride, int64_t padding, float* dst) {
+  const int64_t oh = conv_out_size(h, kernel, stride, padding);
+  const int64_t ow = conv_out_size(w, kernel, stride, padding);
+  const int64_t patch_dim = c * kernel * kernel;
+  std::fill(dst, dst + c * h * w, 0.0f);
+  for (int64_t r = 0; r < oh; ++r, block += ow * patch_dim) {
+    const int64_t h0 = r * stride - padding;
+    const int64_t kh_lo = std::max<int64_t>(0, -h0);
+    const int64_t kh_hi = std::min(kernel, h - h0);
+    for (int64_t kw = kernel - 1; kw >= 0; --kw) {
+      const ColumnRange in = inside_columns(kw, w, ow, stride, padding);
+      for (int64_t ch = 0; ch < c; ++ch) {
+        for (int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+          float* row = dst + (ch * h + h0 + kh) * w;
+          const float* src = block + (ch * kernel + kh) * kernel + kw;
+          for (int64_t col = in.lo; col < in.hi; ++col) {
+            row[col * stride + kw - padding] += src[col * patch_dim];
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Tensor im2col(const Tensor& x, int64_t kernel, int64_t stride, int64_t padding) {
   DKFAC_CHECK(x.ndim() == 4) << "im2col expects NCHW, got " << x.shape();
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int64_t oh = conv_out_size(h, kernel, stride, padding);
   const int64_t ow = conv_out_size(w, kernel, stride, padding);
   const int64_t patch_dim = c * kernel * kernel;
-
-  Tensor cols(Shape{n * oh * ow, patch_dim});
-#pragma omp parallel for schedule(static)
+  Tensor cols = Tensor::uninitialized(Shape{n * oh * ow, patch_dim});
+#pragma omp parallel for collapse(2) schedule(static)
   for (int64_t img = 0; img < n; ++img) {
-    const float* src = x.data() + img * c * h * w;
     for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        float* dst = cols.data() + ((img * oh + r) * ow + col) * patch_dim;
-        const int64_t h0 = r * stride - padding;
-        const int64_t w0 = col * stride - padding;
-        for (int64_t ch = 0; ch < c; ++ch) {
-          for (int64_t kh = 0; kh < kernel; ++kh) {
-            const int64_t hh = h0 + kh;
-            for (int64_t kw = 0; kw < kernel; ++kw) {
-              const int64_t ww = w0 + kw;
-              const bool inside = hh >= 0 && hh < h && ww >= 0 && ww < w;
-              *dst++ = inside ? src[(ch * h + hh) * w + ww] : 0.0f;
-            }
-          }
-        }
-      }
+      im2col_row(x.data() + img * c * h * w, c, h, w, r, kernel, stride, padding,
+                 cols.data() + (img * oh + r) * ow * patch_dim);
     }
   }
   return cols;
@@ -66,28 +140,11 @@ Tensor col2im(const Tensor& cols, Shape image_shape, int64_t kernel,
       << "col2im input shape " << cols.shape() << " inconsistent with image "
       << image_shape;
 
-  Tensor img(image_shape);
+  Tensor img = Tensor::uninitialized(std::move(image_shape));
 #pragma omp parallel for schedule(static)
   for (int64_t b = 0; b < n; ++b) {
-    float* dst = img.data() + b * c * h * w;
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        const float* src = cols.data() + ((b * oh + r) * ow + col) * patch_dim;
-        const int64_t h0 = r * stride - padding;
-        const int64_t w0 = col * stride - padding;
-        for (int64_t ch = 0; ch < c; ++ch) {
-          for (int64_t kh = 0; kh < kernel; ++kh) {
-            const int64_t hh = h0 + kh;
-            for (int64_t kw = 0; kw < kernel; ++kw) {
-              const int64_t ww = w0 + kw;
-              if (hh >= 0 && hh < h && ww >= 0 && ww < w) {
-                dst[(ch * h + hh) * w + ww] += src[(ch * kernel + kh) * kernel + kw];
-              }
-            }
-          }
-        }
-      }
-    }
+    col2im_image(cols.data() + b * oh * ow * patch_dim, c, h, w, kernel, stride,
+                 padding, img.data() + b * c * h * w);
   }
   return img;
 }
@@ -109,28 +166,44 @@ Tensor Conv2d::forward(const Tensor& x) {
   DKFAC_CHECK(x.ndim() == 4 && x.dim(1) == spec_.in_channels)
       << name_ << ": input " << x.shape() << " expected [N, " << spec_.in_channels
       << ", H, W]";
-  input_shape_ = x.shape();
-  patches_ = im2col(x, spec_.kernel, spec_.stride, spec_.padding);
-  has_batch_ = true;
-  has_grad_ = false;
-
-  const int64_t n = x.dim(0);
-  const int64_t oh = conv_out_size(x.dim(2), spec_.kernel, spec_.stride, spec_.padding);
-  const int64_t ow = conv_out_size(x.dim(3), spec_.kernel, spec_.stride, spec_.padding);
+  const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t oh = conv_out_size(h, spec_.kernel, spec_.stride, spec_.padding);
+  const int64_t ow = conv_out_size(w, spec_.kernel, spec_.stride, spec_.padding);
   const int64_t oc = spec_.out_channels;
+  const int64_t positions = oh * ow;
+  const bool train = training();
+  if (train) {  // evaluation leaves the last training step's state as it was
+    input_shape_ = x.shape();
+    patches_.resize_(Shape{n * positions, patch_dim_});
+    has_batch_ = true;
+    has_grad_ = false;
+  }
 
-  // rows [N·OH·OW, OC] = patches · Wᵀ, then permute into NCHW.
-  Tensor rows = matmul(patches_, weight_.value, Trans::kNo, Trans::kYes);
-  Tensor y(Shape{n, oc, oh, ow});
-#pragma omp parallel for schedule(static)
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        const float* src = rows.data() + ((b * oh + r) * ow + col) * oc;
-        for (int64_t ch = 0; ch < oc; ++ch) {
-          y.data()[((b * oc + ch) * oh + r) * ow + col] =
-              src[ch] + (spec_.bias ? bias_param_->value[ch] : 0.0f);
-        }
+  // One image per step of a thread: its patch rows are unfolded into
+  // per-thread scratch, multiplied there by Wᵀ (a serial GEMM, which per
+  // element sums the same products in the same order as one call over all
+  // rows), permuted into NCHW, and in training copied into patches_.
+  Tensor y = Tensor::uninitialized(Shape{n, oc, oh, ow});
+#pragma omp parallel
+  {
+    Tensor& patches = scratch(kImagePatches, Shape{positions, patch_dim_});
+    Tensor& rows = scratch(kImageRows, Shape{positions, oc});
+#pragma omp for schedule(static)
+    for (int64_t b = 0; b < n; ++b) {
+      const float* image = x.data() + b * c * h * w;
+      for (int64_t r = 0; r < oh; ++r) {
+        im2col_row(image, c, h, w, r, spec_.kernel, spec_.stride, spec_.padding,
+                   patches.data() + r * ow * patch_dim_);
+      }
+      gemm(1.0f, patches, Trans::kNo, weight_.value, Trans::kYes, 0.0f, rows);
+      for (int64_t ch = 0; ch < oc; ++ch) {
+        float* dst = y.data() + (b * oc + ch) * positions;
+        const float bias = spec_.bias ? bias_param_->value[ch] : 0.0f;
+        for (int64_t p = 0; p < positions; ++p) dst[p] = rows.data()[p * oc + ch] + bias;
+      }
+      if (train) {
+        std::copy(patches.data(), patches.data() + positions * patch_dim_,
+                  patches_.data() + b * positions * patch_dim_);
       }
     }
   }
@@ -145,25 +218,40 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output) {
   const int64_t ow = conv_out_size(input_shape_[3], spec_.kernel, spec_.stride,
                                    spec_.padding);
   const int64_t oc = spec_.out_channels;
+  const int64_t positions = oh * ow;
   DKFAC_CHECK(grad_output.shape() == Shape({n, oc, oh, ow}))
       << name_ << ": grad shape " << grad_output.shape();
 
-  // Permute NCHW grad into row layout matching the forward GEMM.
-  grad_rows_ = Tensor(Shape{n * oh * ow, oc});
-#pragma omp parallel for schedule(static)
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        float* dst = grad_rows_.data() + ((b * oh + r) * ow + col) * oc;
-        for (int64_t ch = 0; ch < oc; ++ch) {
-          dst[ch] = grad_output.data()[((b * oc + ch) * oh + r) * ow + col];
+  // One image per step of a thread: its output gradient is permuted into
+  // the forward GEMM's row layout (kept in grad_rows_ for dW and the G
+  // factor), multiplied by W into per-thread patch gradients (a serial
+  // GEMM, which per element sums the same products in the same order as
+  // one call over all rows), and folded by col2im while still in cache.
+  grad_rows_.resize_(Shape{n * positions, oc});
+  has_grad_ = true;
+  const int64_t c = input_shape_[1], h = input_shape_[2], w = input_shape_[3];
+  Tensor dx = Tensor::uninitialized(input_shape_);
+#pragma omp parallel
+  {
+    Tensor& rows = scratch(kImageRows, Shape{positions, oc});
+    Tensor& grad_patches = scratch(kImagePatches, Shape{positions, patch_dim_});
+#pragma omp for schedule(static)
+    for (int64_t b = 0; b < n; ++b) {
+      const float* src = grad_output.data() + b * oc * positions;
+      for (int64_t ch = 0; ch < oc; ++ch) {
+        for (int64_t p = 0; p < positions; ++p) {
+          rows.data()[p * oc + ch] = src[ch * positions + p];
         }
       }
+      std::copy(rows.data(), rows.data() + positions * oc,
+                grad_rows_.data() + b * positions * oc);
+      gemm(1.0f, rows, Trans::kNo, weight_.value, Trans::kNo, 0.0f, grad_patches);
+      col2im_image(grad_patches.data(), c, h, w, spec_.kernel, spec_.stride,
+                   spec_.padding, dx.data() + b * c * h * w);
     }
   }
-  has_grad_ = true;
 
-  // dW += rowsᵀ·patches ; db += column sums ; dx = col2im(rows·W).
+  // dW += rowsᵀ·patches ; db += column sums.
   gemm(1.0f, grad_rows_, Trans::kYes, patches_, Trans::kNo, 1.0f, weight_.grad);
   if (spec_.bias) {
     const int64_t rows_n = grad_rows_.dim(0);
@@ -172,9 +260,7 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output) {
       for (int64_t ch = 0; ch < oc; ++ch) bias_param_->grad[ch] += row[ch];
     }
   }
-  Tensor grad_patches = matmul(grad_rows_, weight_.value);
-  return col2im(grad_patches, input_shape_, spec_.kernel, spec_.stride,
-                spec_.padding);
+  return dx;
 }
 
 std::vector<Parameter*> Conv2d::local_parameters() {

@@ -61,7 +61,9 @@ class Conv2d final : public Layer, public KfacCapturable {
   Parameter weight_;                     // [out_channels, patch_dim]
   std::optional<Parameter> bias_param_;  // [out_channels]
 
-  // Cached batch state.
+  // Batch state of the last training step, kept for backward and the K-FAC
+  // factors; the buffers are reused from step to step. Evaluation forwards
+  // leave it untouched.
   Shape input_shape_{0};
   Tensor patches_;      // [N·OH·OW, patch_dim] from the last forward
   Tensor grad_rows_;    // [N·OH·OW, out_channels] from the last backward

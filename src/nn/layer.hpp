@@ -1,8 +1,10 @@
 // Layer interface for the dkfac neural network library.
 //
-// Layers are stateful: forward() caches whatever backward() needs (inputs,
-// masks, im2col patches), so a layer instance appears exactly once in a
-// network. Composite layers (Sequential, residual blocks) route gradients
+// Layers are stateful: a training-mode forward() caches whatever backward()
+// and the K-FAC factors need (im2col patches, normalised inputs, masks) in
+// buffers the layer reuses from step to step, so a layer instance appears
+// exactly once in a network. An eval-mode forward keeps nothing and leaves
+// that state as the last training step left it. Composite layers (Sequential, residual blocks) route gradients
 // explicitly — there is no tape; the network topology *is* the autograd
 // graph, mirroring how the original PyTorch implementation registers
 // forward/backward hooks per layer (paper §IV-B).
@@ -74,11 +76,13 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes outputs, caching anything backward() will need.
+  /// Computes outputs; in training mode also caches anything backward()
+  /// will need.
   virtual Tensor forward(const Tensor& x) = 0;
 
   /// Consumes dL/d(output), accumulates parameter gradients, and returns
-  /// dL/d(input). Must be called after forward() on the same batch.
+  /// dL/d(input). Must be called after a training-mode forward() on the
+  /// same batch.
   /// Non-virtual: runs backward_impl(), then fires the readiness hook so
   /// gradient communication can start while earlier layers still compute.
   Tensor backward(const Tensor& grad_output) {

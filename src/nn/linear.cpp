@@ -31,9 +31,11 @@ Tensor Linear::forward(const Tensor& x) {
   DKFAC_CHECK(x.ndim() == 2 && x.dim(1) == in_features_)
       << name_ << ": input shape " << x.shape() << " expected [N, "
       << in_features_ << "]";
-  input_ = x;
-  has_batch_ = true;
-  has_grad_ = false;
+  if (training()) {  // evaluation leaves the last training step's state
+    input_ = x;
+    has_batch_ = true;
+    has_grad_ = false;
+  }
 
   Tensor y = matmul(x, weight_.value, Trans::kNo, Trans::kYes);
   if (bias_) {

@@ -45,7 +45,8 @@ class Linear final : public Layer, public KfacCapturable {
   Parameter weight_;                      // [out, in]
   std::optional<Parameter> bias_param_;   // [out]
 
-  // Cached batch state (forward input, backward output-grad).
+  // Batch state of the last training step (forward input, backward
+  // output-grad); copies reuse the buffers' storage.
   Tensor input_;        // [N, in]
   Tensor grad_output_;  // [N, out]
   bool has_batch_ = false;

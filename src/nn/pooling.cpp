@@ -18,10 +18,12 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int64_t oh = conv_out_size(h, kernel_, stride_, padding_);
   const int64_t ow = conv_out_size(w, kernel_, stride_, padding_);
-  input_shape_ = x.shape();
+  // Only training keeps the argmax for backward.
+  const bool train = training();
+  if (train) input_shape_ = x.shape();
 
   Tensor y(Shape{n, c, oh, ow});
-  argmax_.assign(static_cast<size_t>(y.numel()), -1);
+  if (train) argmax_.assign(static_cast<size_t>(y.numel()), -1);
 #pragma omp parallel for schedule(static)
   for (int64_t b = 0; b < n; ++b) {
     for (int64_t ch = 0; ch < c; ++ch) {
@@ -46,7 +48,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
           const int64_t out_idx = ((b * c + ch) * oh + r) * ow + col;
           // A window fully inside padding has no valid element; emit 0.
           y[out_idx] = best_idx >= 0 ? best : 0.0f;
-          argmax_[static_cast<size_t>(out_idx)] = best_idx;
+          if (train) argmax_[static_cast<size_t>(out_idx)] = best_idx;
         }
       }
     }

@@ -24,15 +24,20 @@ class Sequential final : public Layer {
     return *this;
   }
 
+  // Neither pass copies: the first child reads the caller's tensor.
   Tensor forward(const Tensor& x) override {
-    Tensor h = x;
-    for (auto& layer : layers_) h = layer->forward(h);
+    if (layers_.empty()) return x;
+    Tensor h = layers_.front()->forward(x);
+    for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+      h = (*it)->forward(h);
+    }
     return h;
   }
 
   Tensor backward_impl(const Tensor& grad_output) override {
-    Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    if (layers_.empty()) return grad_output;
+    Tensor g = layers_.back()->backward(grad_output);
+    for (auto it = layers_.rbegin() + 1; it != layers_.rend(); ++it) {
       g = (*it)->backward(g);
     }
     return g;

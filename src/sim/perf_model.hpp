@@ -13,10 +13,11 @@
 // the real factor-size distribution and the assignment policy; and (c)
 // collective costs from the α-β ring model.
 //
-// Constants are calibrated once against Table V (ResNet-50 @16 GPUs) and
-// documented in EXPERIMENTS.md; everything that *varies* across the
-// paper's tables (models, scales, strategies, frequencies) is derived, not
-// fitted.
+// Constants are calibrated once against Table V (ResNet-50 @16 GPUs);
+// bench/table5_time_profile prints the model next to the paper's numbers
+// and tests/sim/perf_model_test.cpp pins its trends. Everything that
+// *varies* across the paper's tables (models, scales, strategies,
+// frequencies) is derived, not fitted.
 #pragma once
 
 #include <vector>
@@ -44,7 +45,7 @@ struct ClusterConfig {
   /// small-GEMM launches compound as the launch queue congests. Charged to
   /// both K-FAC variants. This is the per-iteration component of the
   /// paper's Te growth with model complexity (§VI-C4); calibrated against
-  /// Table III (see EXPERIMENTS.md).
+  /// Table III (see bench/table3_update_freq).
   double precond_congestion_s = 6.0e-6;
   /// Per-layer collective launch cost for K-FAC-lw's per-layer exchange of
   /// preconditioned gradients (one broadcast per layer per iteration).

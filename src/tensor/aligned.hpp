@@ -43,6 +43,15 @@ struct AlignedAllocator {
     ::operator delete(p, std::align_val_t(Alignment));
   }
 
+  /// Default- rather than value-initialises where a container would
+  /// value-initialise (resize(n), vector(n)), so growing storage that a
+  /// kernel overwrites in full skips the zero fill. Construction from an
+  /// explicit value — vector(n, 0.0f) — is unaffected.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;
   }

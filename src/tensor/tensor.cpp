@@ -13,6 +13,12 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
       << "value count " << data_.size() << " does not match shape " << shape_;
 }
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.resize_(std::move(shape));
+  return t;
+}
+
 Tensor Tensor::full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.fill_(value);
@@ -41,6 +47,12 @@ Tensor Tensor::rand(Shape shape, Rng& rng, float lo, float hi) {
 Tensor Tensor::from(std::vector<float> values) {
   const int64_t n = static_cast<int64_t>(values.size());
   return Tensor(Shape{n}, std::move(values));
+}
+
+Tensor& Tensor::resize_(Shape shape) {
+  data_.resize(static_cast<size_t>(shape.numel()));
+  shape_ = std::move(shape);
+  return *this;
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {

@@ -33,6 +33,9 @@ class Tensor {
   // ---- factories -------------------------------------------------------
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
+  /// Tensor whose elements are left unset: for outputs a kernel overwrites
+  /// in full, where a zero fill would be wasted work.
+  static Tensor uninitialized(Shape shape);
   static Tensor ones(Shape shape) { return full(std::move(shape), 1.0f); }
   static Tensor full(Shape shape, float value);
   /// Identity matrix of size n×n.
@@ -51,6 +54,11 @@ class Tensor {
 
   /// Same data, new shape; numel must be preserved.
   Tensor reshaped(Shape new_shape) const;
+
+  /// Gives the tensor `shape` in place, keeping its storage: elements past
+  /// the old size are left unset, and memory is reallocated only when the
+  /// new size exceeds the capacity — for scratch buffers reused every step.
+  Tensor& resize_(Shape shape);
 
   // ---- element access --------------------------------------------------
 

@@ -182,9 +182,9 @@ TEST(ThreadComm, ByteAccountingExactAcrossRepeatedAllreduces) {
 TEST(ThreadComm, FactorVolumeCountersAccumulate) {
   SelfComm comm;
   EXPECT_EQ(comm.stats().factor_dense_bytes, 0u);
-  // Two-argument form: no precision codec — encoded degenerates to packed.
-  comm.record_factor_volume(100, 55);
-  comm.record_factor_volume(100, 55);
+  // No precision codec: encoded equals packed.
+  comm.record_factor_volume(100, 55, 55);
+  comm.record_factor_volume(100, 55, 55);
   EXPECT_EQ(comm.stats().factor_dense_bytes, 200u);
   EXPECT_EQ(comm.stats().factor_packed_bytes, 110u);
   EXPECT_EQ(comm.stats().factor_encoded_bytes, 110u);
