@@ -124,11 +124,11 @@ struct CommStats {
 
   // Kronecker-factor exchange accounting (filled by KfacPreconditioner) —
   // the full reduction chain dense → packed → encoded: the bytes a dense
-  // n×n FP32 factor allreduce would have shipped, the bytes after
-  // structural packing (upper triangles when symmetric_comm is on), and
-  // the bytes that actually entered the collective after the precision
-  // codec (16-bit payloads when factor_precision is fp16/bf16; equal to
-  // packed at fp32). factor_encoded_bytes is already included in
+  // n×n FP32 factor allreduce would have shipped (analytic — factors
+  // always travel as upper triangles), the bytes after that structural
+  // packing, and the bytes that actually entered the collective after the
+  // precision codec (16-bit payloads when factor_precision is fp16/bf16;
+  // equal to packed at fp32). factor_encoded_bytes is already included in
   // allreduce_bytes, so dense − encoded is the total reduction won.
   uint64_t factor_dense_bytes = 0;
   uint64_t factor_packed_bytes = 0;
@@ -136,8 +136,9 @@ struct CommStats {
 
   // Decomposition-allgather accounting: the bytes this rank's dense
   // decomposition send would take vs the bytes it actually sent
-  // (triangle-packed explicit inverses when symmetric_comm is on). Same
-  // per-rank-send convention as allgather_bytes, which these are part of.
+  // (explicit inverses travel as triangles, and a lossy precision encodes
+  // either kind). Same per-rank-send convention as allgather_bytes, which
+  // these are part of.
   uint64_t decomp_dense_bytes = 0;
   uint64_t decomp_packed_bytes = 0;
 
@@ -150,7 +151,7 @@ struct CommStats {
   uint64_t steady_state_allocs = 0;
 
   // Async-overlap accounting, filled by the trainer from AsyncExecutor
-  // when overlap_comm is on.
+  // when TrainConfig::overlap_comm attaches one.
   AsyncCommStats async;
 
   uint64_t total_bytes() const {
@@ -169,19 +170,21 @@ class Communicator {
   /// contributions are combined in rank order on every rank.
   virtual void allreduce(std::span<float> data, ReduceOp op) = 0;
 
-  /// Concatenation of every rank's contribution in rank order. Sizes may
-  /// differ per rank (allgatherv semantics, like Horovod's allgather).
-  virtual std::vector<float> allgather(std::span<const float> send) = 0;
-
-  /// allgather into a caller-owned buffer (resized to fit), so repeated
-  /// gathers of a fixed shape reuse one allocation instead of returning a
-  /// fresh vector per call — the zero-steady-state-allocation contract of
-  /// the encoded reduction path. Backends override this as the primary
-  /// implementation (allgather() wraps it); the default forwards to
-  /// allgather() so minimal Communicator implementations keep working.
+  /// Concatenation of every rank's contribution in rank order, written
+  /// into a caller-owned buffer (resized to fit). Sizes may differ per rank
+  /// (allgatherv semantics, like Horovod's allgather). Repeated gathers of
+  /// a fixed shape reuse the buffer's allocation — the zero-steady-state-
+  /// allocation contract of the encoded reduction and the decomposition
+  /// exchange. The one allgather every backend implements.
   virtual void allgather_into(std::span<const float> send,
-                              std::vector<float>& recv) {
-    recv = allgather(send);
+                              std::vector<float>& recv) = 0;
+
+  /// allgather_into() returning a fresh vector, for callers outside the
+  /// steady-state path. Virtual only so decorators can observe it.
+  virtual std::vector<float> allgather(std::span<const float> send) {
+    std::vector<float> out;
+    allgather_into(send, out);
+    return out;
   }
 
   /// Copies `data` from `root` to all ranks.
@@ -226,9 +229,9 @@ class Communicator {
 
   /// Records one factor exchange along the full reduction chain:
   /// `dense_bytes` is the dense n×n FP32 payload, `packed_bytes` the
-  /// payload after structural packing (equal to dense when packing is
-  /// off), `encoded_bytes` what actually entered the collective after the
-  /// precision codec (equal to packed at fp32).
+  /// payload after structural packing, `encoded_bytes` what actually
+  /// entered the collective after the precision codec (equal to packed at
+  /// fp32).
   void record_factor_volume(uint64_t dense_bytes, uint64_t packed_bytes,
                             uint64_t encoded_bytes) {
     stats_.factor_dense_bytes += dense_bytes;
@@ -282,12 +285,6 @@ class SelfComm final : public Communicator {
     stats_.allreduce_calls++;
     stats_.allreduce_bytes += data.size_bytes();
     (void)op;
-  }
-
-  std::vector<float> allgather(std::span<const float> send) override {
-    std::vector<float> out;
-    allgather_into(send, out);
-    return out;
   }
 
   void allgather_into(std::span<const float> send,

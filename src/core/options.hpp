@@ -69,12 +69,6 @@ struct KfacOptions {
   /// k·n+k. 1.0 = exact (default).
   float eigen_rank_fraction = 1.0f;
 
-  /// Ship only the upper triangle of each (symmetric) Kronecker factor in
-  /// the fused allreduce — n(n+1)/2 instead of n² elements per factor, at
-  /// most ~55% of the dense payload for real layer sizes. The unpack step
-  /// mirrors the triangle, so factors also stay exactly symmetric.
-  bool symmetric_comm = true;
-
   /// Wire precision of the factor exchange and decomposition allgather
   /// (lossy-compression extension, the paper's §VII future work): fp16 or
   /// bf16 payloads halve the bytes SymmetricPacker/rank-truncation leave,
@@ -93,13 +87,6 @@ struct KfacOptions {
   /// 0 (default) derives the capacity from comm::CostModel so each chunk
   /// stays bandwidth-dominated at the current world size.
   size_t fusion_capacity_bytes = 0;
-
-  /// Route the factor allreduce through the trainer's comm::AsyncExecutor
-  /// (when one is attached via set_async_executor) instead of a blocking
-  /// fused allreduce, so factor exchange overlaps the tail of backprop and
-  /// the preconditioning GEMMs. Falls back to the synchronous path when no
-  /// executor is attached. Results are bitwise identical either way.
-  bool overlap_comm = false;
 
   /// Sets both frequencies from the paper's single knob: eigendecompositions
   /// every `freq`, factors every `freq/10` (min 1).

@@ -1,6 +1,9 @@
 #include "core/preconditioner.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <span>
 
 #include "comm/cost_model.hpp"
 #include "comm/symmetric_packer.hpp"
@@ -27,6 +30,79 @@ size_t factor_fusion_capacity(const KfacOptions& options,
   options.validate();
   if (options.fusion_capacity_bytes > 0) return options.fusion_capacity_bytes;
   return comm.cost_model().recommended_fusion_bytes(comm.size());
+}
+
+// The in-place offset walk both Kronecker exchanges share. A slot holds
+// `units` fp32 payloads back to back: unit u's count(u) elements at its
+// packed offset P_u = Σ_{v<u} count(v). A lossy precision shrinks each
+// payload, inside the same slot, to its ⌈count(u)/2⌉-float codec image at
+// the encoded offset E_u = Σ_{v<u} ⌈count(v)/2⌉ ≤ P_u. Encoding walks the
+// units ascending, so every image lands at or below payload already read;
+// decoding walks them descending, so every payload expands over images
+// already read (codec.hpp spells out the aliasing proof). At fp32 the wire
+// image is the payload itself.
+
+/// Pack → encode: `fill(u, payload)` writes unit u's fp32 payload at P_u, a
+/// lossy precision encodes it in place to E_u, and `ship(u, offset, floats)`
+/// receives the unit's wire image as a range of the slot.
+template <typename Count, typename Fill, typename Ship>
+void encode_slot(std::span<float> slot, int64_t units, comm::Precision prec,
+                 Count count, Fill fill, Ship ship) {
+  const bool lossy = prec != comm::Precision::kFp32;
+  size_t packed = 0;
+  size_t encoded = 0;
+  for (int64_t u = 0; u < units; ++u) {
+    const int64_t n = count(u);
+    const auto floats = static_cast<size_t>(n);
+    const auto encoded_floats =
+        static_cast<size_t>(comm::Codec::encoded_floats(n));
+    const std::span<float> payload = slot.subspan(packed, floats);
+    fill(u, payload);
+    if (lossy) {
+      comm::Codec::encode(payload, slot.subspan(encoded, encoded_floats), prec);
+      ship(u, encoded, encoded_floats);
+    } else {
+      ship(u, packed, floats);
+    }
+    packed += floats;
+    encoded += encoded_floats;
+  }
+}
+
+/// Decode → unpack, the inverse of encode_slot: walking the units
+/// descending, a lossy precision decodes unit u's wire image at E_u back to
+/// its fp32 payload at P_u in place, then `drain(u, payload)` reads it.
+template <typename Count, typename Drain>
+void decode_slot(std::span<float> slot, int64_t units, comm::Precision prec,
+                 Count count, Drain drain) {
+  size_t packed = 0;
+  size_t encoded = 0;
+  for (int64_t u = 0; u < units; ++u) {
+    packed += static_cast<size_t>(count(u));
+    encoded += static_cast<size_t>(comm::Codec::encoded_floats(count(u)));
+  }
+  for (int64_t u = units - 1; u >= 0; --u) {
+    const int64_t n = count(u);
+    const auto floats = static_cast<size_t>(n);
+    const auto encoded_floats =
+        static_cast<size_t>(comm::Codec::encoded_floats(n));
+    packed -= floats;
+    encoded -= encoded_floats;
+    const std::span<float> payload = slot.subspan(packed, floats);
+    if (prec != comm::Precision::kFp32) {
+      comm::Codec::decode(slot.subspan(encoded, encoded_floats), payload, prec);
+    }
+    drain(u, payload);
+  }
+}
+
+/// Gives `t` the shape `dims`, keeping its storage; once it has that shape
+/// (every exchange after the first) not even a Shape is built.
+void ensure_shape(Tensor& t, std::initializer_list<int64_t> dims) {
+  const std::vector<int64_t>& have = t.shape().dims();
+  if (!std::equal(have.begin(), have.end(), dims.begin(), dims.end())) {
+    t.resize_(Shape(dims));
+  }
 }
 
 }  // namespace
@@ -166,152 +242,91 @@ void KfacPreconditioner::update_factors() {
   }
   DKFAC_TRACE_SCOPE_NAMED(comm_span, "kfac.factor_comm");
 
-  // Allreduce all factors — Algorithm 1 line 8. With symmetric_comm only
-  // the upper triangle of each factor is shipped (n(n+1)/2 of n²
-  // elements); with a lossy factor_precision the payload is additionally
-  // codec-encoded to 16-bit before it enters the pipeline (quantised ONCE
-  // on this rank; the collective gathers contributions verbatim and folds
-  // in fp32 — see Communicator::allreduce_encoded). With an attached
-  // executor and overlap_comm, views are submitted to the background
-  // pipeline instead of reduced in place: the exchange overlaps the
+  // Allreduce all factors — Algorithm 1 line 8 — as upper triangles
+  // (n(n+1)/2 of n² elements). A lossy factor_precision additionally
+  // encodes each triangle to 16 bit before it enters the collective
+  // (quantised ONCE on this rank; the collective gathers contributions
+  // verbatim and folds in fp32 — see Communicator::allreduce_encoded).
+  // With an attached executor the views go to the background pipeline
+  // instead of being reduced here: the exchange overlaps the
   // preconditioning GEMMs and the next iteration's compute, and
-  // finish_factor_comm() decodes/folds it in right before the next
+  // finish_factor_comm() decodes and folds it in right before the next
   // consumer.
   //
   // Zero-copy transport: every staged representation lives in ONE arena
-  // slot. Triangles are packed into it at their packed offsets; a lossy
-  // precision then encodes each triangle IN PLACE to its encoded offset —
-  // the encoded image of factors 0..f is never longer than their packed
-  // image (two 16-bit elements per float), so the encoded prefix can only
-  // shrink below the packed data it consumes (codec.hpp spells out the
-  // aliasing proof). The per-factor views handed to the collective are
-  // back-to-back slices of the slot, so the fusion buffer reduces the slot
-  // memory directly — no staging copy — and finish_factor_comm() decodes
-  // (descending, expanding backward) and unpacks from the same slot.
-  uint64_t dense_bytes = 0;
-  for (int64_t d : factor_dims_) {
-    dense_bytes += static_cast<uint64_t>(d * d) * sizeof(float);
-  }
-  const bool async = executor_ != nullptr && options_.overlap_comm;
+  // slot, laid out by encode_slot's walk. The per-factor views handed to
+  // the collective are back-to-back slices of the slot, so the fusion
+  // buffer reduces the slot memory directly — no staging copy — and
+  // finish_factor_comm() decodes and unpacks from the same slot.
+  const bool async = executor_ != nullptr;
   const comm::Precision prec = options_.factor_precision;
   const int64_t num_factors = static_cast<int64_t>(factor_dims_.size());
+  const auto count = [this](int64_t f) { return factor_payload_elements(f); };
 
+  uint64_t dense_bytes = 0;
   int64_t packed_elements = 0;
-  int64_t encoded_elements = 0;
   uint64_t shipped_bytes = 0;
   for (int64_t f = 0; f < num_factors; ++f) {
-    const int64_t count = factor_payload_elements(f);
-    packed_elements += count;
-    encoded_elements += comm::Codec::encoded_floats(count);
-    shipped_bytes += comm::Codec::wire_bytes(count, prec);
+    const int64_t d = factor_dims_[static_cast<size_t>(f)];
+    dense_bytes += static_cast<uint64_t>(d * d) * sizeof(float);
+    packed_elements += count(f);
+    shipped_bytes += comm::Codec::wire_bytes(count(f), prec);
   }
   const uint64_t packed_bytes =
       static_cast<uint64_t>(packed_elements) * sizeof(float);
 
-  auto submit_view = [&](const comm::BufferView& view) {
-    // Submitting per factor pipelines each view's reduction behind the
-    // packing/encoding of the next one.
-    if (async) {
-      executor_->submit(view, comm::ReduceOp::kAverage);
-    } else {
-      fusion_.add(view);
-    }
-  };
-  auto launch = [&]() {
-    if (async) {
-      // The executor's worker resolves the views while this thread keeps
-      // computing: pin the arena so a stray reset cannot recycle the slot
-      // under the in-flight collective.
-      arena_.pin();
-      factor_comm_pending_ = true;
-    } else {
-      fusion_.execute(comm::ReduceOp::kAverage);
-      finish_factor_comm();  // shares the decode + unpack path
-    }
-  };
-
-  if (prec == comm::Precision::kFp32 && !options_.symmetric_comm) {
-    // Dense fp32 path: each factor's storage is reduced in place — no slot,
-    // no staged representation at all.
-    for (int64_t f = 0; f < num_factors; ++f) {
-      submit_view(comm::BufferView(factor(f).cov.span()));
-    }
-    launch();
-    report_.factor_comm_bytes = dense_bytes;
-  } else {
-    // Carve this exchange's slot. Same shape every exchange → the arena
-    // rewind hands back the same block, allocation-free once warm.
-    arena_.reset();
-    const bool lossy = prec != comm::Precision::kFp32;
-    // Dense-source lossy (!symmetric_comm) needs only the encoded image;
-    // triangle sources need the full packed image (encode shrinks inside).
-    const int64_t slot_floats =
-        options_.symmetric_comm ? packed_elements : encoded_elements;
-    exchange_slot_ = arena_.alloc(static_cast<size_t>(slot_floats), prec,
-                                  options_.symmetric_comm
-                                      ? comm::BufferLayout::kTrianglePacked
-                                      : comm::BufferLayout::kEncoded);
-    exchange_packed_ = options_.symmetric_comm;
-    exchange_precision_ = prec;
-    const std::span<float> slot = exchange_slot_.span();
-    int64_t packed_offset = 0;
-    int64_t encoded_offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      const int64_t count = factor_payload_elements(f);
-      const int64_t enc_count = comm::Codec::encoded_floats(count);
-      if (options_.symmetric_comm) {
-        const std::span<float> triangle(slot.data() + packed_offset,
-                                        static_cast<size_t>(count));
+  // Same shape every exchange → the arena rewind hands back the same
+  // block, allocation-free once warm.
+  arena_.reset();
+  exchange_slot_ = arena_.alloc(static_cast<size_t>(packed_elements), prec,
+                                comm::BufferLayout::kTrianglePacked);
+  const comm::BufferLayout wire_layout = prec == comm::Precision::kFp32
+                                             ? comm::BufferLayout::kTrianglePacked
+                                             : comm::BufferLayout::kEncoded;
+  encode_slot(
+      exchange_slot_.span(), num_factors, prec, count,
+      [this](int64_t f, std::span<float> triangle) {
         comm::SymmetricPacker::pack(factor(f).cov, triangle);
-        if (lossy) {
-          // In-place shrink: encoded offset ≤ packed offset, always.
-          comm::Codec::encode(
-              triangle,
-              slot.subspan(static_cast<size_t>(encoded_offset),
-                           static_cast<size_t>(enc_count)),
-              prec);
+      },
+      [&](int64_t, size_t offset, size_t floats) {
+        // Submitting per factor pipelines each view's reduction behind the
+        // packing/encoding of the next one.
+        const comm::BufferView view =
+            exchange_slot_.subview(offset, floats, prec, wire_layout);
+        if (async) {
+          executor_->submit(view, comm::ReduceOp::kAverage);
+        } else {
+          fusion_.add(view);
         }
-      } else {
-        comm::Codec::encode(
-            factor(f).cov.span(),
-            slot.subspan(static_cast<size_t>(encoded_offset),
-                         static_cast<size_t>(enc_count)),
-            prec);
-      }
-      if (lossy) {
-        submit_view(exchange_slot_.subview(
-            static_cast<size_t>(encoded_offset), static_cast<size_t>(enc_count),
-            prec, comm::BufferLayout::kEncoded));
-      } else {
-        submit_view(exchange_slot_.subview(static_cast<size_t>(packed_offset),
-                                           static_cast<size_t>(count)));
-      }
-      packed_offset += count;
-      encoded_offset += enc_count;
-    }
-    exchange_live_ = true;
-    launch();
-    report_.factor_comm_bytes = lossy ? shipped_bytes : packed_bytes;
+      });
+  exchange_live_ = true;
+  if (async) {
+    // The executor's worker resolves the views while this thread keeps
+    // computing: pin the arena so a stray reset cannot recycle the slot
+    // under the in-flight collective.
+    arena_.pin();
+    factor_comm_pending_ = true;
+  } else {
+    fusion_.execute(comm::ReduceOp::kAverage);
+    finish_factor_comm();  // shares the decode + unpack path
   }
 
   report_.factor_dense_bytes = dense_bytes;
   report_.factor_packed_bytes = packed_bytes;
+  report_.factor_comm_bytes = shipped_bytes;
   report_.factor_chunks = async ? 0 : fusion_.last_chunk_count();
   report_.factor_comm_async = async;
-  comm_.record_factor_volume(dense_bytes, packed_bytes,
-                             report_.factor_comm_bytes);
+  comm_.record_factor_volume(dense_bytes, packed_bytes, shipped_bytes);
   if (comm_span.active()) {
     // When async, this span covers pack/encode/submit only — the wire time
     // shows up on the comm.worker timeline (comm.async.flush spans).
-    comm_span.set_arg("bytes", report_.factor_comm_bytes);
+    comm_span.set_arg("bytes", shipped_bytes);
     comm_span.set_arg("async", async ? 1 : 0);
   }
 }
 
 int64_t KfacPreconditioner::factor_payload_elements(int64_t f) const {
-  const int64_t d = factor_dims_[static_cast<size_t>(f)];
-  return options_.symmetric_comm ? comm::SymmetricPacker::packed_size(d)
-                                 : d * d;
+  return comm::SymmetricPacker::packed_size(factor_dims_[static_cast<size_t>(f)]);
 }
 
 void KfacPreconditioner::finish_factor_comm() {
@@ -329,67 +344,19 @@ void KfacPreconditioner::finish_factor_comm() {
     } unpin{arena_};
     executor_->wait();
   }
-  if (!exchange_live_) return;  // dense fp32 path reduced in place — no slot
   exchange_live_ = false;
-  // Fold-in straight from the exchange slot: every staged representation
-  // of this exchange lives in that one allocation. Every rank decodes
-  // identical bytes, so the covariances stay identical across ranks and
-  // backends. The slot is NOT released — the next exchange's reset+alloc
-  // of the same shape reuses the block, keeping malloc off the hot path
-  // even on skip-heavy schedules.
-  const std::span<float> slot = exchange_slot_.span();
-  const int64_t num_factors = static_cast<int64_t>(factor_dims_.size());
-  if (exchange_precision_ != comm::Precision::kFp32 && exchange_packed_) {
-    // Lossy triangles expand IN PLACE from the slot's encoded prefix back
-    // to the packed offsets. Decoding factor f writes [P_f, P_f+c_f),
-    // reading [E_f, E_f+e_f) with E_f ≤ P_f — walking factors DESCENDING
-    // (decode writes backward, see codec.hpp) means every write lands at
-    // or above all still-undecoded encoded words.
-    int64_t packed_end = 0;
-    int64_t encoded_end = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      packed_end += factor_payload_elements(f);
-      encoded_end += comm::Codec::encoded_floats(factor_payload_elements(f));
-    }
-    for (int64_t f = num_factors - 1; f >= 0; --f) {
-      const int64_t count = factor_payload_elements(f);
-      const int64_t enc_count = comm::Codec::encoded_floats(count);
-      packed_end -= count;
-      encoded_end -= enc_count;
-      const std::span<float> triangle(slot.data() + packed_end,
-                                      static_cast<size_t>(count));
-      comm::Codec::decode(
-          slot.subspan(static_cast<size_t>(encoded_end),
-                       static_cast<size_t>(enc_count)),
-          triangle, exchange_precision_);
-      comm::SymmetricPacker::unpack(triangle, factor(f).cov);
-    }
-  } else if (exchange_precision_ != comm::Precision::kFp32) {
-    // Lossy dense payloads decode straight into the covariance storage.
-    int64_t encoded_offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      Tensor& cov = factor(f).cov;
-      const int64_t enc_count =
-          comm::Codec::encoded_floats(factor_payload_elements(f));
-      comm::Codec::decode(
-          slot.subspan(static_cast<size_t>(encoded_offset),
-                       static_cast<size_t>(enc_count)),
-          cov.span(), exchange_precision_);
-      encoded_offset += enc_count;
-    }
-  } else {
-    // fp32 triangles: mirror the reduced upper triangles back out.
-    int64_t offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      Tensor& cov = factor(f).cov;
-      const int64_t count = factor_payload_elements(f);
-      comm::SymmetricPacker::unpack(
-          std::span<const float>(slot.data() + offset,
-                                 static_cast<size_t>(count)),
-          cov);
-      offset += count;
-    }
-  }
+  // Fold-in straight from the exchange slot: every rank decodes identical
+  // bytes, so the covariances stay identical across ranks and backends.
+  // The slot is NOT released — the next exchange's reset+alloc of the same
+  // shape reuses the block, keeping malloc off the hot path even on
+  // skip-heavy schedules.
+  decode_slot(exchange_slot_.span(),
+              static_cast<int64_t>(factor_dims_.size()),
+              options_.factor_precision,
+              [this](int64_t f) { return factor_payload_elements(f); },
+              [this](int64_t f, std::span<float> triangle) {
+                comm::SymmetricPacker::unpack(triangle, factor(f).cov);
+              });
 }
 
 void KfacPreconditioner::decompose_factor(FactorState& state) const {
@@ -463,17 +430,24 @@ int64_t KfacPreconditioner::decomp_payload(int64_t dim) const {
   return dim * kept + kept;  // truncated Q and Λ
 }
 
-bool KfacPreconditioner::pack_decompositions() const {
-  // The explicit inverse (X+γI)⁻¹ is symmetric, so its allgather payload
-  // triangle-packs exactly like the factors themselves. Eigenvector
-  // matrices are not symmetric — the eigen path always ships dense.
-  return options_.inverse_method == InverseMethod::kExplicitInverse &&
-         options_.symmetric_comm;
+int64_t KfacPreconditioner::shipped_decomp_payload(int64_t dim) const {
+  // The explicit inverse (X+γI)⁻¹ is symmetric, so it travels as an upper
+  // triangle like the factors themselves. Eigenvector matrices are not
+  // symmetric — the eigen path always ships dense.
+  if (options_.inverse_method == InverseMethod::kExplicitInverse) {
+    return comm::SymmetricPacker::packed_size(dim);
+  }
+  return decomp_payload(dim);
 }
 
-int64_t KfacPreconditioner::shipped_decomp_payload(int64_t dim) const {
-  if (pack_decompositions()) return comm::SymmetricPacker::packed_size(dim);
-  return decomp_payload(dim);
+int64_t KfacPreconditioner::decomp_segment_elements(int rank) const {
+  int64_t elements = 0;
+  for (size_t f = 0; f < factor_dims_.size(); ++f) {
+    if (assignment_.owner[f] == rank) {
+      elements += shipped_decomp_payload(factor_dims_[f]);
+    }
+  }
+  return elements;
 }
 
 void KfacPreconditioner::update_decompositions() {
@@ -514,137 +488,113 @@ void KfacPreconditioner::exchange_decompositions() {
   if (comm_.size() == 1) return;
   DKFAC_TRACE_SCOPE("kfac.decomp_exchange");
   const int rank = comm_.rank();
-  const bool packed = pack_decompositions();
-
-  // Pack owned decompositions in ascending factor order. Explicit inverses
-  // are symmetric, so with symmetric_comm on they travel as upper
-  // triangles — n(n+1)/2 of n² floats per factor (ROADMAP ~2× item).
-  std::vector<float> send;
-  for (int64_t f : assignment_.owned_by(rank)) {
-    const FactorState& state = factor(f);
-    DKFAC_CHECK(state.have_decomp);
-    if (packed) {
-      const size_t offset = send.size();
-      const int64_t count = comm::SymmetricPacker::packed_size(state.dim);
-      send.resize(offset + static_cast<size_t>(count));
-      comm::SymmetricPacker::pack(
-          state.q, std::span<float>(send.data() + offset,
-                                    static_cast<size_t>(count)));
-      continue;
-    }
-    send.insert(send.end(), state.q.data(), state.q.data() + state.q.numel());
-    if (options_.inverse_method == InverseMethod::kEigenDecomposition) {
-      send.insert(send.end(), state.lam.data(),
-                  state.lam.data() + state.lam.numel());
-    }
-  }
-
+  const int ranks = comm_.size();
   const comm::Precision prec = options_.factor_precision;
-  std::vector<float> gathered;
-  const uint64_t shipped_send_bytes =
-      comm::Codec::wire_bytes(static_cast<int64_t>(send.size()), prec);
-  if (prec == comm::Precision::kFp32) {
-    gathered = comm_.allgather(send);
-  } else {
-    // Lossy precision: this rank's payload is quantised once, the encoded
-    // blocks are gathered verbatim, and every rank decodes every block —
-    // its own included, so owners adopt the exact bytes their peers see
-    // and the replicas never diverge. The decoded buffer reproduces the
-    // fp32 layout, so the unpack loop below is precision-agnostic.
-    std::vector<float> encoded_send(static_cast<size_t>(
-        comm::Codec::encoded_floats(static_cast<int64_t>(send.size()))));
-    comm::Codec::encode(send, encoded_send, prec);
-    const std::vector<float> encoded_gathered = comm_.allgather(encoded_send);
-    // Per-rank element counts are a pure function of the assignment; size
-    // the decoded buffer once instead of reallocating per rank.
-    std::vector<int64_t> rank_elements(static_cast<size_t>(comm_.size()), 0);
-    int64_t total_elements = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      for (int64_t f : assignment_.owned_by(r)) {
-        rank_elements[static_cast<size_t>(r)] +=
-            shipped_decomp_payload(factor(f).dim);
-      }
-      total_elements += rank_elements[static_cast<size_t>(r)];
-    }
-    gathered.resize(static_cast<size_t>(total_elements));
-    size_t encoded_offset = 0;
-    size_t decoded_offset = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      const int64_t elements = rank_elements[static_cast<size_t>(r)];
-      const auto encoded_count =
-          static_cast<size_t>(comm::Codec::encoded_floats(elements));
-      DKFAC_CHECK(encoded_offset + encoded_count <= encoded_gathered.size())
-          << "encoded decomposition gather underflow";
-      comm::Codec::decode(
-          std::span<const float>(encoded_gathered.data() + encoded_offset,
-                                 encoded_count),
-          std::span<float>(gathered.data() + decoded_offset,
-                           static_cast<size_t>(elements)),
-          prec);
-      encoded_offset += encoded_count;
-      decoded_offset += static_cast<size_t>(elements);
-    }
-    DKFAC_CHECK(encoded_offset == encoded_gathered.size())
-        << "encoded decomposition gather leftover";
-  }
+  const bool eigen =
+      options_.inverse_method == InverseMethod::kEigenDecomposition;
 
-  // Unpack rank by rank; each rank's segment holds its owned factors in
-  // ascending order, so the layout is fully determined by the assignment.
-  // At fp32 this rank's own segment is skipped (it already holds the exact
-  // decomposition it sent); at a lossy precision it is unpacked like any
-  // other so all ranks hold the identical quantised decomposition.
-  size_t offset = 0;
-  for (int r = 0; r < comm_.size(); ++r) {
-    for (int64_t f : assignment_.owned_by(r)) {
-      FactorState& state = factor(f);
-      const int64_t d = state.dim;
-      if (r == rank && prec == comm::Precision::kFp32) {
-        offset += static_cast<size_t>(shipped_decomp_payload(d));
-        continue;  // already have our own
-      }
-      DKFAC_CHECK(offset + static_cast<size_t>(shipped_decomp_payload(d)) <=
-                  gathered.size())
-          << "decomposition gather underflow";
-      if (packed) {
-        const int64_t count = comm::SymmetricPacker::packed_size(d);
-        state.q = Tensor(Shape{d, d});
-        comm::SymmetricPacker::unpack(
-            std::span<const float>(gathered.data() + offset,
-                                   static_cast<size_t>(count)),
-            state.q);
-        offset += static_cast<size_t>(count);
-        state.have_decomp = true;
-        continue;
-      }
-      const int64_t kept = kept_rank(d);
-      state.q = Tensor(Shape{d, options_.inverse_method ==
-                                     InverseMethod::kEigenDecomposition
-                                 ? kept
-                                 : d});
-      std::copy(gathered.data() + offset,
-                gathered.data() + offset + state.q.numel(), state.q.data());
-      offset += static_cast<size_t>(state.q.numel());
-      if (options_.inverse_method == InverseMethod::kEigenDecomposition) {
-        state.lam = Tensor(Shape{kept});
-        std::copy(gathered.data() + offset, gathered.data() + offset + kept,
-                  state.lam.data());
-        offset += static_cast<size_t>(kept);
-      }
-      state.have_decomp = true;
+  // Each rank's segment holds its owned decompositions in ascending factor
+  // order — explicit inverses as triangles, eigen Q then Λ dense — so the
+  // layout is fully determined by the assignment. A segment is ONE unit of
+  // the slot walk: it is encoded as a single block, as peers decode it.
+  const auto for_each_owned = [this](int r, std::span<float> segment,
+                                     auto&& visit) {
+    size_t offset = 0;
+    for (size_t f = 0; f < factor_dims_.size(); ++f) {
+      if (assignment_.owner[f] != r) continue;
+      const auto n = static_cast<size_t>(shipped_decomp_payload(factor_dims_[f]));
+      visit(factor(static_cast<int64_t>(f)), segment.subspan(offset, n));
+      offset += n;
     }
+  };
+
+  // Send image: this rank's segment, packed and encoded in place in a slot
+  // of the factor exchange's arena (finish_factor_comm() has folded that
+  // exchange in, so its slot is free to rewind).
+  const int64_t own_elements = decomp_segment_elements(rank);
+  arena_.reset();
+  const comm::BufferView slot = arena_.alloc(
+      static_cast<size_t>(own_elements), prec,
+      eigen ? comm::BufferLayout::kDense : comm::BufferLayout::kTrianglePacked);
+  std::span<const float> wire;
+  encode_slot(
+      slot.span(), 1, prec, [own_elements](int64_t) { return own_elements; },
+      [&](int64_t, std::span<float> segment) {
+        for_each_owned(rank, segment, [eigen](FactorState& state,
+                                              std::span<float> out) {
+          DKFAC_CHECK(state.have_decomp);
+          if (!eigen) {
+            comm::SymmetricPacker::pack(state.q, out);
+            return;
+          }
+          const auto q_floats = static_cast<size_t>(state.q.numel());
+          std::copy_n(state.q.data(), q_floats, out.data());
+          std::copy_n(state.lam.data(), state.lam.numel(), out.data() + q_floats);
+        });
+      },
+      [&](int64_t, size_t offset, size_t floats) {
+        wire = slot.span().subspan(offset, floats);
+      });
+  comm_.allgather_into(wire, gathered_);
+
+  // Receive image: rank r's wire block sits at E_r of gathered_; a lossy
+  // precision decodes it in place back to its segment at P_r, which needs
+  // the buffer grown to the fp32 image first (grow-only: warm exchanges
+  // stay within its capacity).
+  const auto segment_elements = [this](int64_t r) {
+    return decomp_segment_elements(static_cast<int>(r));
+  };
+  size_t wire_floats = 0;
+  size_t packed_floats = 0;
+  for (int r = 0; r < ranks; ++r) {
+    const int64_t n = segment_elements(r);
+    wire_floats += static_cast<size_t>(
+        prec == comm::Precision::kFp32 ? n : comm::Codec::encoded_floats(n));
+    packed_floats += static_cast<size_t>(n);
   }
-  DKFAC_CHECK(offset == gathered.size()) << "decomposition gather leftover";
+  DKFAC_CHECK(gathered_.size() == wire_floats)
+      << "decomposition gather holds " << gathered_.size()
+      << " floats, the assignment expects " << wire_floats;
+  gathered_.resize(packed_floats);
+
+  // At fp32 this rank's own segment is skipped (it already holds the exact
+  // decompositions it sent); at a lossy precision it is unpacked like any
+  // other, so owners adopt the exact bytes their peers see and the
+  // replicas never diverge.
+  decode_slot(
+      gathered_, ranks, prec, segment_elements,
+      [&](int64_t r, std::span<float> segment) {
+        if (r == rank && prec == comm::Precision::kFp32) return;
+        for_each_owned(static_cast<int>(r), segment, [&](FactorState& state,
+                                                         std::span<float> in) {
+          const int64_t d = state.dim;
+          if (!eigen) {
+            ensure_shape(state.q, {d, d});
+            comm::SymmetricPacker::unpack(in, state.q);
+          } else {
+            const int64_t kept = kept_rank(d);
+            ensure_shape(state.q, {d, kept});
+            ensure_shape(state.lam, {kept});
+            const size_t q_floats = static_cast<size_t>(d * kept);
+            std::copy_n(in.data(), q_floats, state.q.data());
+            std::copy_n(in.data() + q_floats, kept, state.lam.data());
+          }
+          state.have_decomp = true;
+        });
+      });
 
   // Dense-equivalent vs actually-shipped bytes for this rank's send — the
   // same per-rank convention allgather_bytes uses, so the shipped bytes
   // (triangle-packed, then codec-encoded at a lossy precision) really are
   // a subset of that counter.
   uint64_t dense_sent = 0;
-  for (int64_t f : assignment_.owned_by(rank)) {
-    const int64_t d = factor(f).dim;
-    dense_sent += static_cast<uint64_t>(decomp_payload(d)) * sizeof(float);
+  for (size_t f = 0; f < factor_dims_.size(); ++f) {
+    if (assignment_.owner[f] == rank) {
+      dense_sent +=
+          static_cast<uint64_t>(decomp_payload(factor_dims_[f])) * sizeof(float);
+    }
   }
-  comm_.record_decomp_volume(dense_sent, shipped_send_bytes);
+  comm_.record_decomp_volume(dense_sent, comm::Codec::wire_bytes(own_elements, prec));
 }
 
 Tensor KfacPreconditioner::precondition_layer(const LayerState& state,
@@ -726,42 +676,37 @@ void KfacPreconditioner::precondition_layer_wise() {
     original.push_back(state.layer->kfac_grad());
   }
 
-  std::vector<float> send;
+  // Send and receive buffers are members: a warm gather of the same
+  // shape refills them in place.
+  layer_wise_send_.clear();
   for (size_t l = 0; l < layers_.size(); ++l) {
     // Factor 2l's owner owns the layer (layer-wise assignment pairs both
     // factors on one rank).
     if (assignment_.owner[2 * l] != rank) continue;
     const Tensor p = precondition_layer(layers_[l], original[l]);
-    send.insert(send.end(), p.data(), p.data() + p.numel());
+    layer_wise_send_.insert(layer_wise_send_.end(), p.data(),
+                            p.data() + p.numel());
   }
+  // A single rank owns every layer, so its send already is the gather.
+  if (comm_.size() > 1) comm_.allgather_into(layer_wise_send_, gathered_);
+  const std::vector<float>& gathered =
+      comm_.size() > 1 ? gathered_ : layer_wise_send_;
 
   std::vector<Tensor> preconditioned(layers_.size());
-  if (comm_.size() == 1) {
-    size_t offset = 0;
+  size_t offset = 0;
+  for (int r = 0; r < comm_.size(); ++r) {
     for (size_t l = 0; l < layers_.size(); ++l) {
+      if (assignment_.owner[2 * l] != r) continue;
       const int64_t count = layers_[l].g.dim * layers_[l].a.dim;
+      DKFAC_CHECK(offset + static_cast<size_t>(count) <= gathered.size())
+          << "layer-wise gather underflow";
       preconditioned[l] = Tensor(Shape{layers_[l].g.dim, layers_[l].a.dim});
-      std::copy(send.data() + offset, send.data() + offset + count,
+      std::copy(gathered.data() + offset, gathered.data() + offset + count,
                 preconditioned[l].data());
       offset += static_cast<size_t>(count);
     }
-  } else {
-    const std::vector<float> gathered = comm_.allgather(send);
-    size_t offset = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      for (size_t l = 0; l < layers_.size(); ++l) {
-        if (assignment_.owner[2 * l] != r) continue;
-        const int64_t count = layers_[l].g.dim * layers_[l].a.dim;
-        DKFAC_CHECK(offset + static_cast<size_t>(count) <= gathered.size())
-            << "layer-wise gather underflow";
-        preconditioned[l] = Tensor(Shape{layers_[l].g.dim, layers_[l].a.dim});
-        std::copy(gathered.data() + offset, gathered.data() + offset + count,
-                  preconditioned[l].data());
-        offset += static_cast<size_t>(count);
-      }
-    }
-    DKFAC_CHECK(offset == gathered.size()) << "layer-wise gather leftover";
   }
+  DKFAC_CHECK(offset == gathered.size()) << "layer-wise gather leftover";
 
   const float nu = grad_scale(preconditioned, original);
   for (size_t l = 0; l < layers_.size(); ++l) {

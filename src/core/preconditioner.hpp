@@ -81,14 +81,14 @@ class KfacPreconditioner {
   /// on the very first step (no decomposition exists to fall back on).
   void skip_factor_update_once() { skip_once_ = true; }
 
-  /// Attaches the trainer's background communication pipeline. With
-  /// options().overlap_comm set, factor allreduces are submitted to
-  /// `executor` (overlapping the preconditioning GEMMs and the next
-  /// iteration's compute) instead of blocking; the reduced factors are
-  /// folded in lazily, right before their next consumer. Pass nullptr to
-  /// detach (any in-flight exchange is finished first). `executor` must
-  /// outlive the preconditioner or be detached before destruction, and
-  /// must wrap the same communicator.
+  /// Attaches the trainer's background communication pipeline. While one
+  /// is attached, factor allreduces are submitted to `executor`
+  /// (overlapping the preconditioning GEMMs and the next iteration's
+  /// compute) instead of blocking; the reduced factors are folded in
+  /// lazily, right before their next consumer. Results are bitwise
+  /// identical either way. Pass nullptr to detach (any in-flight exchange
+  /// is finished first). `executor` must outlive the preconditioner or be
+  /// detached before destruction, and must wrap the same communicator.
   void set_async_executor(comm::AsyncExecutor* executor);
 
   // ---- introspection -------------------------------------------------------
@@ -97,7 +97,7 @@ class KfacPreconditioner {
   const KfacOptions& options() const { return options_; }
 
   /// Combined allocator-traffic counters of this object's comm arenas (the
-  /// factor exchange slot + the fusion staging arena).
+  /// exchange slot + the fusion staging arena).
   comm::ArenaStats arena_stats() const {
     comm::ArenaStats s = arena_.stats();
     s += fusion_.arena_stats();
@@ -125,11 +125,10 @@ class KfacPreconditioner {
     double decomposition_seconds = 0.0;
     double precondition_seconds = 0.0;
     /// Factor-exchange reduction chain for this step (0 on skip
-    /// iterations): bytes a dense n×n FP32 allreduce would ship, bytes
-    /// after structural packing (triangles when `symmetric_comm` is on,
-    /// else dense), and bytes actually handed to the collective after the
-    /// precision codec (16-bit payloads at fp16/bf16, else equal to
-    /// packed).
+    /// iterations): bytes a dense n×n FP32 allreduce would ship (analytic),
+    /// bytes of the upper triangles actually packed, and bytes handed to
+    /// the collective after the precision codec (16-bit payloads at
+    /// fp16/bf16, else equal to packed).
     uint64_t factor_dense_bytes = 0;
     uint64_t factor_packed_bytes = 0;
     uint64_t factor_comm_bytes = 0;
@@ -172,13 +171,12 @@ class KfacPreconditioner {
   }
 
   void update_factors();
-  /// Completes an in-flight asynchronous factor exchange: waits on the
-  /// executor, decodes any lossy payload, and mirrors the packed triangles
-  /// back into the covariance tensors. No-op when nothing is pending.
+  /// Completes the live factor exchange: waits on the executor if it ran
+  /// asynchronously, decodes any lossy payload, and mirrors the packed
+  /// triangles back into the covariance tensors. No-op when none is live.
   void finish_factor_comm();
   /// FP32 elements factor `f` contributes to the exchange before the
-  /// precision codec: its packed triangle with symmetric_comm, the dense
-  /// matrix otherwise.
+  /// precision codec: its packed upper triangle.
   int64_t factor_payload_elements(int64_t f) const;
   void update_decompositions();
   void decompose_factor(FactorState& state) const;
@@ -188,11 +186,12 @@ class KfacPreconditioner {
   int64_t kept_rank(int64_t dim) const;
   /// Floats needed to publish one factor's decomposition (dense layout).
   int64_t decomp_payload(int64_t dim) const;
-  /// Floats actually shipped per decomposition: triangle-packed when the
-  /// explicit inverse (symmetric) is exchanged with symmetric_comm on.
+  /// Floats actually shipped per decomposition before the precision codec:
+  /// explicit inverses (symmetric) as packed triangles, eigenpairs dense.
   int64_t shipped_decomp_payload(int64_t dim) const;
-  /// True when decompositions travel as packed upper triangles.
-  bool pack_decompositions() const;
+  /// Floats of `rank`'s segment of the decomposition exchange (its owned
+  /// factors' shipped payloads, before the codec).
+  int64_t decomp_segment_elements(int rank) const;
   void exchange_decompositions();
   Tensor precondition_layer(const LayerState& state, const Tensor& grad) const;
   void precondition_factor_wise();
@@ -209,23 +208,25 @@ class KfacPreconditioner {
   /// Overlapped-communication pipeline (owned by the trainer); nullptr →
   /// synchronous exchange.
   comm::AsyncExecutor* executor_ = nullptr;
-  /// Owns the factor-exchange slot: ONE allocation per exchange holding
-  /// the whole pipeline in place — triangles are packed into it, the codec
-  /// encodes them in place inside it (encoded image at or below the packed
-  /// image, see codec.hpp), the collective reduces it directly, and decode
-  /// + unpack read it back out. reset() + alloc() of the same shape every
-  /// exchange reuses the same block forever: zero steady-state heap
-  /// allocations on the factor path.
+  /// Owns the exchange slot both Kronecker exchanges run through: ONE
+  /// allocation per exchange holding the whole pipeline in place —
+  /// payloads are packed into it, the codec encodes them in place inside
+  /// it (encoded image at or below the packed image, see codec.hpp), and
+  /// the collective reads it directly. The factor exchange also decodes +
+  /// unpacks from it; the decomposition exchange uses it as its send
+  /// image. reset() + alloc() of the same shapes every exchange reuses the
+  /// same blocks forever: zero steady-state heap allocations.
   comm::Arena arena_;
-  /// The slot carved for the current exchange (empty when none is live).
+  /// The slot carved for the current factor exchange.
   comm::BufferView exchange_slot_;
   /// exchange_slot_ holds reduced payloads finish_factor_comm() has not
   /// yet folded into the covariances.
   bool exchange_live_ = false;
-  /// The live exchange's layout: triangle-packed source (symmetric_comm)?
-  bool exchange_packed_ = false;
-  /// The live exchange's wire precision (fp32 → no codec stage in slot).
-  comm::Precision exchange_precision_ = comm::Precision::kFp32;
+  /// Receive image of the decomposition and layer-wise allgathers (grow-
+  /// only: a warm gather of the same shape refills it in place), and the
+  /// layer-wise send buffer.
+  std::vector<float> gathered_;
+  std::vector<float> layer_wise_send_;
   /// An asynchronous factor exchange is in flight (the executor is still
   /// reducing views of exchange_slot_ — the arena is pinned meanwhile).
   bool factor_comm_pending_ = false;

@@ -185,7 +185,6 @@ TrainResult train_with_comm(const ModelFactory& factory,
   if (config.use_kfac) {
     kfac::KfacOptions opts = config.kfac;
     opts.lr = schedule.lr_at(0.0f);
-    opts.overlap_comm = opts.overlap_comm || config.overlap_comm;
     kfac.emplace(*model, comm, opts);
     if (executor) kfac->set_async_executor(&*executor);
   }

@@ -27,6 +27,7 @@
 
 #include "comm/codec.hpp"
 #include "comm/net/launch.hpp"
+#include "core/options.hpp"
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
 #include "nn/serialize.hpp"
@@ -54,7 +55,9 @@ ModelFactory tiny_cnn_factory() {
   return [](Rng& rng) { return nn::simple_cnn(3, 4, rng, 4); };
 }
 
-TrainConfig tiny_config(comm::Precision precision, bool overlap) {
+TrainConfig tiny_config(comm::Precision precision, bool overlap,
+                        kfac::InverseMethod method =
+                            kfac::InverseMethod::kEigenDecomposition) {
   TrainConfig config;
   config.local_batch = 8;
   config.epochs = 2;
@@ -66,6 +69,7 @@ TrainConfig tiny_config(comm::Precision precision, bool overlap) {
   config.kfac.damping = 0.01f;
   config.kfac.with_update_freq(2);
   config.kfac.factor_precision = precision;
+  config.kfac.inverse_method = method;
   return config;
 }
 
@@ -136,16 +140,25 @@ void train_thread_to(const TrainConfig& base, const std::string& ckpt) {
 struct Variant {
   comm::Precision precision;
   bool overlap;
+  kfac::InverseMethod method;
   const char* tag;
 };
 
 // fp32 rides along as the wire-bytes baseline; its bitwise parity is
-// already covered by socket_train_parity_test.
+// already covered by socket_train_parity_test. The explicit-inverse
+// variant runs the triangle-packed decomposition allgather through the
+// codec.
 constexpr Variant kVariants[] = {
-    {comm::Precision::kFp32, false, "fp32_sync"},
-    {comm::Precision::kFp16, false, "fp16_sync"},
-    {comm::Precision::kBf16, false, "bf16_sync"},
-    {comm::Precision::kBf16, true, "bf16_overlap"},
+    {comm::Precision::kFp32, false, kfac::InverseMethod::kEigenDecomposition,
+     "fp32_sync"},
+    {comm::Precision::kFp16, false, kfac::InverseMethod::kEigenDecomposition,
+     "fp16_sync"},
+    {comm::Precision::kBf16, false, kfac::InverseMethod::kEigenDecomposition,
+     "bf16_sync"},
+    {comm::Precision::kBf16, true, kfac::InverseMethod::kEigenDecomposition,
+     "bf16_overlap"},
+    {comm::Precision::kBf16, false, kfac::InverseMethod::kExplicitInverse,
+     "bf16_inverse_sync"},
 };
 
 TEST(CompressionParity, BitwiseBackendParityAndWireShrink) {
@@ -161,12 +174,13 @@ TEST(CompressionParity, BitwiseBackendParityAndWireShrink) {
   // OpenMP-free.
   for (const Variant& v : kVariants) {
     SCOPED_TRACE(v.tag);
-    train_socket_to(tiny_config(v.precision, v.overlap),
+    train_socket_to(tiny_config(v.precision, v.overlap, v.method),
                     ckpt("socket", v.tag), stats_file(v.tag));
   }
   // Phase 2: the thread-backed references (these spawn OpenMP teams).
   for (const Variant& v : kVariants) {
-    train_thread_to(tiny_config(v.precision, v.overlap), ckpt("thread", v.tag));
+    train_thread_to(tiny_config(v.precision, v.overlap, v.method),
+                    ckpt("thread", v.tag));
   }
 
   // The bitwise cross-backend contract must survive compression at every

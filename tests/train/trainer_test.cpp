@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "comm/codec.hpp"
 #include "common/error.hpp"
 #include "nn/resnet.hpp"
@@ -241,22 +243,32 @@ TEST(Trainer, OverlapCommWithoutKfacAlsoMatches) {
 
 TEST(Trainer, SteadyStateCommPathNeverTouchesHeap) {
   // The zero-copy transport contract: after the first full iteration every
-  // comm-path arena (factor exchange slot, fusion staging) has seen its
-  // peak payload, so the rest of training must not grow a single block —
-  // under both the synchronous and the overlapped pipeline.
-  for (const bool overlap : {false, true}) {
-    TrainConfig config = tiny_config(2);
-    config.local_batch = 16;
-    config.use_kfac = true;
-    config.kfac.factor_precision = comm::Precision::kBf16;
-    config.kfac.with_update_freq(2);
-    config.overlap_comm = overlap;
-    TrainResult result =
-        train_distributed(tiny_cnn_factory(), tiny_spec(), config, 2);
-    EXPECT_GT(result.comm_stats.arena_bytes_reserved, 0u)
-        << (overlap ? "overlap" : "sync");
-    EXPECT_EQ(result.comm_stats.steady_state_allocs, 0u)
-        << (overlap ? "overlap" : "sync");
+  // comm-path arena (the exchange slot the factor and decomposition
+  // exchanges share, fusion staging) has seen its peak payload, so the rest
+  // of training must not grow a single block — under both the synchronous
+  // and the overlapped pipeline, and for eigenpairs (dense) as well as
+  // explicit inverses (triangles).
+  for (const kfac::InverseMethod method :
+       {kfac::InverseMethod::kEigenDecomposition,
+        kfac::InverseMethod::kExplicitInverse}) {
+    for (const bool overlap : {false, true}) {
+      const std::string label =
+          std::string(method == kfac::InverseMethod::kExplicitInverse
+                           ? "inverse"
+                           : "eigen") +
+          (overlap ? "/overlap" : "/sync");
+      TrainConfig config = tiny_config(2);
+      config.local_batch = 16;
+      config.use_kfac = true;
+      config.kfac.factor_precision = comm::Precision::kBf16;
+      config.kfac.inverse_method = method;
+      config.kfac.with_update_freq(2);
+      config.overlap_comm = overlap;
+      TrainResult result =
+          train_distributed(tiny_cnn_factory(), tiny_spec(), config, 2);
+      EXPECT_GT(result.comm_stats.arena_bytes_reserved, 0u) << label;
+      EXPECT_EQ(result.comm_stats.steady_state_allocs, 0u) << label;
+    }
   }
 }
 
