@@ -41,10 +41,13 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/net/faultnet.hpp"
@@ -101,7 +104,29 @@ struct CliOptions {
   std::exit(2);
 }
 
+// The value of numeric flag `flag`: all of `text` must parse with
+// std::from_chars to a finite value that `valid` accepts; anything else
+// (trailing junk, NaN/inf, out of range) exits 2 naming the flag.
+template <typename T, typename Valid>
+T number(const std::string& flag, const char* text, Valid valid,
+         const char* expected) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end && valid(value);
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "train_cli: %s expects %s, got '%s'\n",
+                 flag.c_str(), expected, text);
+    std::exit(2);
+  }
+  return value;
+}
+
 CliOptions parse(int argc, char** argv) {
+  const auto positive = [](auto v) { return v > 0; };
+  const auto non_negative = [](auto v) { return v >= 0; };
+  const auto fraction = [](float v) { return v > 0.0f && v <= 1.0f; };
   CliOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -114,23 +139,36 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--strategy") opts.strategy = next();
     else if (arg == "--backend") opts.backend = next();
     else if (arg == "--kfac") opts.use_kfac = true;
-    else if (arg == "--workers" || arg == "--ranks") opts.workers = std::atoi(next());
-    else if (arg == "--epochs") opts.epochs = std::atoi(next());
-    else if (arg == "--batch") opts.batch = std::atoll(next());
-    else if (arg == "--lr") opts.lr = std::atof(next());
-    else if (arg == "--update-freq") opts.update_freq = std::atoi(next());
-    else if (arg == "--rank-fraction") opts.rank_fraction = std::atof(next());
+    else if (arg == "--workers" || arg == "--ranks")
+      opts.workers = number<int>(arg, next(), positive, "an integer >= 1");
+    else if (arg == "--epochs")
+      opts.epochs = number<int>(arg, next(), positive, "an integer >= 1");
+    else if (arg == "--batch")
+      opts.batch = number<int64_t>(arg, next(), positive, "an integer >= 1");
+    else if (arg == "--lr")
+      opts.lr = number<float>(arg, next(), positive, "a finite number > 0");
+    else if (arg == "--update-freq")
+      opts.update_freq = number<int>(arg, next(), positive, "an integer >= 1");
+    else if (arg == "--rank-fraction")
+      opts.rank_fraction =
+          number<float>(arg, next(), fraction, "a number in (0, 1]");
     else if (arg == "--overlap") opts.overlap = true;
     else if (arg == "--factor-precision") opts.factor_precision = next();
     else if (arg == "--save") opts.save_path = next();
     else if (arg == "--trace") opts.trace_path = next();
     else if (arg == "--metrics") opts.metrics_path = next();
     else if (arg == "--elastic") opts.elastic_checkpoint = next();
-    else if (arg == "--min-ranks") opts.min_ranks = std::atoi(next());
-    else if (arg == "--max-ranks") opts.max_ranks = std::atoi(next());
-    else if (arg == "--respawns") opts.respawns = std::atoi(next());
+    else if (arg == "--min-ranks")
+      opts.min_ranks = number<int>(arg, next(), positive, "an integer >= 1");
+    else if (arg == "--max-ranks")
+      opts.max_ranks =
+          number<int>(arg, next(), non_negative, "an integer >= 0");
+    else if (arg == "--respawns")
+      opts.respawns = number<int>(arg, next(), non_negative, "an integer >= 0");
     else if (arg == "--fault-plan") opts.fault_plan = next();
-    else if (arg == "--straggler-slack") opts.straggler_slack = std::atof(next());
+    else if (arg == "--straggler-slack")
+      opts.straggler_slack =
+          number<float>(arg, next(), non_negative, "a finite number >= 0");
     else if (arg == "--log-level") opts.log_level = next();
     else usage_and_exit();
   }
@@ -172,7 +210,8 @@ int main(int argc, char** argv) {
 
   train::ModelFactory factory;
   if (cli.model == "resnet8" || cli.model == "resnet14" || cli.model == "resnet20") {
-    const int depth = std::atoi(cli.model.c_str() + 6);
+    const int depth =
+        cli.model == "resnet8" ? 8 : cli.model == "resnet14" ? 14 : 20;
     factory = [depth](Rng& rng) { return nn::resnet_cifar(depth, 10, rng, 8); };
   } else if (cli.model == "cnn") {
     factory = [](Rng& rng) { return nn::simple_cnn(3, 10, rng, 8); };

@@ -48,7 +48,7 @@ void AsyncExecutor::submit(const BufferView& view, ReduceOp op) {
 
 void AsyncExecutor::wait() {
   // Span brackets the same interval as stats_.wait_seconds, so the trace
-  // aggregate and the timer agree (derive_overlap relies on that).
+  // shows the blocked time the overlap metrics are derived from.
   DKFAC_TRACE_SCOPE("comm.async.wait");
   const auto start = Clock::now();
   std::unique_lock<std::mutex> lock(mutex_);

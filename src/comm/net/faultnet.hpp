@@ -44,8 +44,8 @@
 // When no plan is installed every hook reduces to one relaxed atomic load
 // (`active()`), taken on the false branch — zero overhead and byte-
 // identical wire traffic, which the socket/thread parity tests pin down.
-// Every injection increments a `faultnet.injected.*` counter (surfaced in
-// the metrics registry) and emits a `faultnet.inject` trace instant.
+// Every injection increments a `faultnet.injected.*` counter (a row of the
+// per-step metric table) and emits a `faultnet.inject` trace instant.
 #pragma once
 
 #include <atomic>

@@ -19,16 +19,14 @@ namespace dkfac::kfac {
 
 namespace {
 
-/// Fusion-buffer capacity for the factor allreduce: the explicit option
-/// when set, otherwise the backend's own α–β cost model's bandwidth-
-/// dominated chunk size for this world size. Validates first — this runs
-/// in the member-init list, before the constructor body, so a bad option
-/// set must surface as an options error rather than a low-level
-/// fusion-buffer failure.
+/// Fusion-buffer capacity for the factor allreduce: the backend's own α–β
+/// cost model's bandwidth-dominated chunk size for this world size.
+/// Validates first — this runs in the member-init list, before the
+/// constructor body, so a bad option set must surface as an options error
+/// rather than a low-level fusion-buffer failure.
 size_t factor_fusion_capacity(const KfacOptions& options,
                               const comm::Communicator& comm) {
   options.validate();
-  if (options.fusion_capacity_bytes > 0) return options.fusion_capacity_bytes;
   return comm.cost_model().recommended_fusion_bytes(comm.size());
 }
 

@@ -1,31 +1,193 @@
 #include "obs/metrics.hpp"
 
+#include <cmath>
+#include <cstdio>
+
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "comm/net/faultnet.hpp"
-#include "obs/trace.hpp"
 
 namespace dkfac::obs {
+namespace {
 
-OverlapDerived derive_overlap(const comm::AsyncCommStats& async) {
-  double comm_seconds = async.comm_seconds;
-  double wait_seconds = async.wait_seconds;
-  if (Tracer::enabled()) {
-    const Tracer& tracer = Tracer::instance();
-    const double span_comm = tracer.aggregate_seconds("comm.async.flush");
-    const double span_wait = tracer.aggregate_seconds("comm.async.wait");
-    // Span aggregates only exist once instrumented code ran with tracing
-    // on; a zero aggregate alongside nonzero timers means spans were
-    // cleared or tracing was enabled late — trust the timers then.
-    if (span_comm > 0.0 || async.comm_seconds == 0.0) {
-      comm_seconds = span_comm;
-      wait_seconds = span_wait;
+using R = StepRecord;
+constexpr MetricKind kCounter = MetricKind::kCounter;
+constexpr MetricKind kGauge = MetricKind::kGauge;
+
+double u64(uint64_t v) { return static_cast<double>(v); }
+
+const kfac::KfacPreconditioner::StepReport& report_or_zero(const R& r) {
+  static const kfac::KfacPreconditioner::StepReport kNone;
+  return r.report != nullptr ? *r.report : kNone;
+}
+
+// Sorted by name: the JSONL key order, and the README table's row order.
+constexpr MetricDef kMetrics[] = {
+    {"arena.bytes_reserved", kCounter, "B",
+     "Capacity of every live comm-path arena block (K-FAC, executor, fusion)",
+     [](const R& r) { return u64(r.arena.bytes_reserved); }},
+    {"arena.steady_allocs", kCounter, "allocs",
+     "Comm-path arena heap allocations after warm-up; 0 when zero-copy holds",
+     [](const R& r) { return u64(r.arena.steady_state_allocs); }},
+    {"comm.allgather.bytes", kCounter, "B",
+     "Bytes this rank sent into allgathers",
+     [](const R& r) { return u64(r.comm.allgather_bytes); }},
+    {"comm.allgather.calls", kCounter, "calls", "Allgathers this rank joined",
+     [](const R& r) { return u64(r.comm.allgather_calls); }},
+    {"comm.allreduce.bytes", kCounter, "B",
+     "Bytes of this rank's allreduce buffers",
+     [](const R& r) { return u64(r.comm.allreduce_bytes); }},
+    {"comm.allreduce.calls", kCounter, "calls", "Allreduces this rank joined",
+     [](const R& r) { return u64(r.comm.allreduce_calls); }},
+    {"comm.async.batches", kCounter, "batches",
+     "Fused collectives the async executor ran",
+     [](const R& r) { return u64(r.comm.async.batches); }},
+    {"comm.async.comm_seconds", kGauge, "s",
+     "Async executor time inside collectives, summed over the run",
+     [](const R& r) { return r.comm.async.comm_seconds; }},
+    {"comm.async.submitted", kCounter, "tensors",
+     "Tensors submitted to the async executor",
+     [](const R& r) { return u64(r.comm.async.submitted); }},
+    {"comm.async.wait_seconds", kGauge, "s",
+     "Main-thread time blocked waiting for the async executor, summed over "
+     "the run",
+     [](const R& r) { return r.comm.async.wait_seconds; }},
+    {"comm.broadcast.bytes", kCounter, "B",
+     "Bytes this rank broadcast as root",
+     [](const R& r) { return u64(r.comm.broadcast_bytes); }},
+    {"comm.broadcast.calls", kCounter, "calls", "Broadcasts this rank joined",
+     [](const R& r) { return u64(r.comm.broadcast_calls); }},
+    {"comm.grad.seconds", kGauge, "s",
+     "Gradient synchronisation wall time this step",
+     [](const R& r) { return r.sample.grad_comm_seconds; }},
+    {"comm.overlap.exposed_seconds", kGauge, "s",
+     "Collective time the main thread blocked for: comm_seconds - "
+     "hidden_seconds",
+     [](const R& r) { return derive_overlap(r.comm.async).exposed_seconds; }},
+    {"comm.overlap.hidden_seconds", kGauge, "s",
+     "Collective time hidden behind compute: max(0, comm_seconds - "
+     "wait_seconds)",
+     [](const R& r) { return derive_overlap(r.comm.async).hidden_seconds; }},
+    {"comm.wire.recv_bytes", kCounter, "B",
+     "Bytes received on the wire, frame headers included (socket backend)",
+     [](const R& r) { return u64(r.comm.wire_recv_bytes); }},
+    {"comm.wire.sent_bytes", kCounter, "B",
+     "Bytes sent on the wire, frame headers included (socket backend)",
+     [](const R& r) { return u64(r.comm.wire_sent_bytes); }},
+    {"data.load_seconds", kGauge, "s", "Batch load time this step",
+     [](const R& r) { return r.sample.data_seconds; }},
+    {"decomp.dense_bytes", kCounter, "B",
+     "Bytes this rank's decomposition sends would take as dense FP32",
+     [](const R& r) { return u64(r.comm.decomp_dense_bytes); }},
+    {"decomp.packed_bytes", kCounter, "B",
+     "Bytes this rank's decomposition sends took after packing and encoding",
+     [](const R& r) { return u64(r.comm.decomp_packed_bytes); }},
+    {"elastic.joins", kCounter, "ranks",
+     "Ranks seen joining the group across re-formations",
+     [](const R& r) { return u64(r.sample.elastic_joins); }},
+    {"elastic.reformations", kCounter, "reformations",
+     "Elastic group re-formations survived",
+     [](const R& r) { return u64(r.sample.elastic_reformations); }},
+    {"elastic.respawns", kCounter, "processes",
+     "1 if this process is a respawned replacement rank",
+     [](const R& r) { return u64(r.sample.elastic_respawns); }},
+    {"elastic.skipped_factor_steps", kCounter, "steps",
+     "K-FAC factor updates shed as straggler slack",
+     [](const R& r) { return u64(r.sample.elastic_skipped_factor_steps); }},
+    {"factor.dense_bytes", kCounter, "B",
+     "Bytes the factor allreduces would ship as dense FP32 (analytic)",
+     [](const R& r) { return u64(r.comm.factor_dense_bytes); }},
+    {"factor.encoded_bytes", kCounter, "B",
+     "Factor bytes handed to the allreduce after the precision codec",
+     [](const R& r) { return u64(r.comm.factor_encoded_bytes); }},
+    {"factor.packed_bytes", kCounter, "B",
+     "Factor bytes after upper-triangle packing",
+     [](const R& r) { return u64(r.comm.factor_packed_bytes); }},
+    {"faultnet.injected.aborts", kCounter, "faults",
+     "Injected process aborts",
+     [](const R& r) { return u64(r.faults.aborts); }},
+    {"faultnet.injected.bitflips", kCounter, "faults",
+     "Injected payload bit-flips",
+     [](const R& r) { return u64(r.faults.bitflips); }},
+    {"faultnet.injected.refused", kCounter, "faults",
+     "Injected connection refusals",
+     [](const R& r) { return u64(r.faults.refused); }},
+    {"faultnet.injected.resets", kCounter, "faults",
+     "Injected connection resets",
+     [](const R& r) { return u64(r.faults.resets); }},
+    {"faultnet.injected.short_writes", kCounter, "faults",
+     "Injected short writes",
+     [](const R& r) { return u64(r.faults.short_writes); }},
+    {"faultnet.injected.stalls", kCounter, "faults", "Injected send stalls",
+     [](const R& r) { return u64(r.faults.stalls); }},
+    {"faultnet.injected.total", kCounter, "faults",
+     "Injected faults of every kind",
+     [](const R& r) { return u64(r.faults.total); }},
+    {"kfac.decomp_inter_tasks", kCounter, "factors",
+     "Owned factors decomposed concurrently under serial kernels",
+     [](const R& r) { return u64(r.kfac.decomp_inter_tasks); }},
+    {"kfac.decomp_intra_tasks", kCounter, "factors",
+     "Owned factors decomposed one at a time with parallel kernels",
+     [](const R& r) { return u64(r.kfac.decomp_intra_tasks); }},
+    {"kfac.decomp_updates", kCounter, "steps",
+     "Steps that refreshed the decompositions",
+     [](const R& r) { return u64(r.kfac.decomp_updates); }},
+    {"kfac.decomposition_seconds", kGauge, "s",
+     "K-FAC decomposition time this step",
+     [](const R& r) { return report_or_zero(r).decomposition_seconds; }},
+    {"kfac.factor_seconds", kGauge, "s", "K-FAC factor update time this step",
+     [](const R& r) { return report_or_zero(r).factor_seconds; }},
+    {"kfac.factor_updates", kCounter, "steps",
+     "Steps that refreshed the factors",
+     [](const R& r) { return u64(r.kfac.factor_updates); }},
+    {"kfac.precondition_seconds", kGauge, "s",
+     "K-FAC preconditioning time this step",
+     [](const R& r) { return report_or_zero(r).precondition_seconds; }},
+    {"train.accuracy", kGauge, "ratio", "Running train accuracy this epoch",
+     [](const R& r) { return r.sample.accuracy; }},
+    {"train.apply_seconds", kGauge, "s",
+     "Optimizer and K-FAC apply time this step",
+     [](const R& r) { return r.sample.apply_seconds; }},
+    {"train.backward_seconds", kGauge, "s", "Backward pass time this step",
+     [](const R& r) { return r.sample.backward_seconds; }},
+    {"train.forward_seconds", kGauge, "s", "Forward pass time this step",
+     [](const R& r) { return r.sample.forward_seconds; }},
+    {"train.loss", kGauge, "nats", "Training loss this step",
+     [](const R& r) { return r.sample.loss; }},
+    {"train.lr", kGauge, "1", "Learning rate this step",
+     [](const R& r) { return r.sample.lr; }},
+    {"train.step_seconds", kGauge, "s", "Wall time of the whole step",
+     [](const R& r) { return r.sample.step_seconds; }},
+};
+
+}  // namespace
+
+std::span<const MetricDef> metric_table() { return kMetrics; }
+
+void write_jsonl(std::ostream& out, const StepRecord& record) {
+  out << "{\"step\":" << record.sample.step;
+  char buf[48];
+  for (const MetricDef& metric : kMetrics) {
+    out << ",\"" << metric.name << "\":";
+    const double v = metric.value(record);
+    if (metric.kind == MetricKind::kCounter) {
+      out << static_cast<uint64_t>(v);
+    } else if (!std::isfinite(v)) {
+      out << "null";  // JSON has no NaN
+    } else {
+      // %.17g round-trips doubles but litters the file with noise digits;
+      // %.9g keeps float32-sourced values exact and seconds at nanosecond
+      // granularity, which is all the gauges carry.
+      std::snprintf(buf, sizeof(buf), "%.9g", v);
+      out << buf;
     }
   }
+  out << "}\n";
+}
+
+OverlapDerived derive_overlap(const comm::AsyncCommStats& async) {
   OverlapDerived out;
-  out.hidden_seconds =
-      comm_seconds > wait_seconds ? comm_seconds - wait_seconds : 0.0;
-  out.exposed_seconds = comm_seconds - out.hidden_seconds;
+  out.hidden_seconds = async.overlap_won_seconds();
+  out.exposed_seconds = async.comm_seconds - out.hidden_seconds;
   return out;
 }
 
@@ -34,138 +196,31 @@ StepMetricsLogger::StepMetricsLogger(const std::string& path) {
     out_.open(path, std::ios::trunc);
     if (!out_) throw Error("obs: cannot open metrics file for write: " + path);
   }
-
-  comm_allreduce_calls_ = &registry_.add_counter("comm.allreduce.calls");
-  comm_allreduce_bytes_ = &registry_.add_counter("comm.allreduce.bytes");
-  comm_allgather_calls_ = &registry_.add_counter("comm.allgather.calls");
-  comm_allgather_bytes_ = &registry_.add_counter("comm.allgather.bytes");
-  comm_broadcast_calls_ = &registry_.add_counter("comm.broadcast.calls");
-  comm_broadcast_bytes_ = &registry_.add_counter("comm.broadcast.bytes");
-  comm_wire_sent_bytes_ = &registry_.add_counter("comm.wire.sent_bytes");
-  comm_wire_recv_bytes_ = &registry_.add_counter("comm.wire.recv_bytes");
-  factor_dense_bytes_ = &registry_.add_counter("factor.dense_bytes");
-  factor_packed_bytes_ = &registry_.add_counter("factor.packed_bytes");
-  factor_encoded_bytes_ = &registry_.add_counter("factor.encoded_bytes");
-  decomp_dense_bytes_ = &registry_.add_counter("decomp.dense_bytes");
-  decomp_packed_bytes_ = &registry_.add_counter("decomp.packed_bytes");
-  arena_bytes_reserved_ = &registry_.add_counter("arena.bytes_reserved");
-  arena_steady_allocs_ = &registry_.add_counter("arena.steady_allocs");
-  async_submitted_ = &registry_.add_counter("comm.async.submitted");
-  async_batches_ = &registry_.add_counter("comm.async.batches");
-  kfac_factor_updates_ = &registry_.add_counter("kfac.factor_updates");
-  kfac_decomp_updates_ = &registry_.add_counter("kfac.decomp_updates");
-  kfac_decomp_intra_ = &registry_.add_counter("kfac.decomp_intra_tasks");
-  kfac_decomp_inter_ = &registry_.add_counter("kfac.decomp_inter_tasks");
-  elastic_reformations_ = &registry_.add_counter("elastic.reformations");
-  elastic_skipped_factor_steps_ =
-      &registry_.add_counter("elastic.skipped_factor_steps");
-  elastic_joins_ = &registry_.add_counter("elastic.joins");
-  elastic_respawns_ = &registry_.add_counter("elastic.respawns");
-  faultnet_total_ = &registry_.add_counter("faultnet.injected.total");
-  faultnet_refused_ = &registry_.add_counter("faultnet.injected.refused");
-  faultnet_resets_ = &registry_.add_counter("faultnet.injected.resets");
-  faultnet_stalls_ = &registry_.add_counter("faultnet.injected.stalls");
-  faultnet_short_writes_ =
-      &registry_.add_counter("faultnet.injected.short_writes");
-  faultnet_bitflips_ = &registry_.add_counter("faultnet.injected.bitflips");
-  faultnet_aborts_ = &registry_.add_counter("faultnet.injected.aborts");
-
-  train_loss_ = &registry_.add_gauge("train.loss");
-  train_accuracy_ = &registry_.add_gauge("train.accuracy");
-  train_lr_ = &registry_.add_gauge("train.lr");
-  train_step_seconds_ = &registry_.add_gauge("train.step_seconds");
-  data_load_seconds_ = &registry_.add_gauge("data.load_seconds");
-  train_forward_seconds_ = &registry_.add_gauge("train.forward_seconds");
-  train_backward_seconds_ = &registry_.add_gauge("train.backward_seconds");
-  comm_grad_seconds_ = &registry_.add_gauge("comm.grad.seconds");
-  train_apply_seconds_ = &registry_.add_gauge("train.apply_seconds");
-  async_comm_seconds_ = &registry_.add_gauge("comm.async.comm_seconds");
-  async_wait_seconds_ = &registry_.add_gauge("comm.async.wait_seconds");
-  overlap_hidden_seconds_ =
-      &registry_.add_gauge("comm.overlap.hidden_seconds");
-  overlap_exposed_seconds_ =
-      &registry_.add_gauge("comm.overlap.exposed_seconds");
-  kfac_factor_seconds_ = &registry_.add_gauge("kfac.factor_seconds");
-  kfac_decomposition_seconds_ =
-      &registry_.add_gauge("kfac.decomposition_seconds");
-  kfac_precondition_seconds_ =
-      &registry_.add_gauge("kfac.precondition_seconds");
 }
 
-void StepMetricsLogger::record(const StepSample& sample,
-                               const comm::CommStats& comm,
-                               const kfac::KfacPreconditioner::StepReport* report,
-                               const comm::ArenaStats& arena) {
-  comm_allreduce_calls_->set(comm.allreduce_calls);
-  comm_allreduce_bytes_->set(comm.allreduce_bytes);
-  comm_allgather_calls_->set(comm.allgather_calls);
-  comm_allgather_bytes_->set(comm.allgather_bytes);
-  comm_broadcast_calls_->set(comm.broadcast_calls);
-  comm_broadcast_bytes_->set(comm.broadcast_bytes);
-  comm_wire_sent_bytes_->set(comm.wire_sent_bytes);
-  comm_wire_recv_bytes_->set(comm.wire_recv_bytes);
-  factor_dense_bytes_->set(comm.factor_dense_bytes);
-  factor_packed_bytes_->set(comm.factor_packed_bytes);
-  factor_encoded_bytes_->set(comm.factor_encoded_bytes);
-  decomp_dense_bytes_->set(comm.decomp_dense_bytes);
-  decomp_packed_bytes_->set(comm.decomp_packed_bytes);
-  arena_bytes_reserved_->set(arena.bytes_reserved);
-  arena_steady_allocs_->set(arena.steady_state_allocs);
-  async_submitted_->set(comm.async.submitted);
-  async_batches_->set(comm.async.batches);
-  elastic_reformations_->set(sample.elastic_reformations);
-  elastic_skipped_factor_steps_->set(sample.elastic_skipped_factor_steps);
-  elastic_joins_->set(sample.elastic_joins);
-  elastic_respawns_->set(sample.elastic_respawns);
-  const comm::net::faultnet::InjectCounts faults =
-      comm::net::faultnet::counts();
-  faultnet_total_->set(faults.total);
-  faultnet_refused_->set(faults.refused);
-  faultnet_resets_->set(faults.resets);
-  faultnet_stalls_->set(faults.stalls);
-  faultnet_short_writes_->set(faults.short_writes);
-  faultnet_bitflips_->set(faults.bitflips);
-  faultnet_aborts_->set(faults.aborts);
-
-  train_loss_->set(sample.loss);
-  train_accuracy_->set(sample.accuracy);
-  train_lr_->set(sample.lr);
-  train_step_seconds_->set(sample.step_seconds);
-  data_load_seconds_->set(sample.data_seconds);
-  train_forward_seconds_->set(sample.forward_seconds);
-  train_backward_seconds_->set(sample.backward_seconds);
-  comm_grad_seconds_->set(sample.grad_comm_seconds);
-  train_apply_seconds_->set(sample.apply_seconds);
-  async_comm_seconds_->set(comm.async.comm_seconds);
-  async_wait_seconds_->set(comm.async.wait_seconds);
-
-  const OverlapDerived overlap = derive_overlap(comm.async);
-  overlap_hidden_seconds_->set(overlap.hidden_seconds);
-  overlap_exposed_seconds_->set(overlap.exposed_seconds);
-
+void StepMetricsLogger::record(
+    const StepSample& sample, const comm::CommStats& comm,
+    const kfac::KfacPreconditioner::StepReport* report,
+    const comm::ArenaStats& arena) {
   if (report != nullptr) {
-    if (report->factors_updated) kfac_factor_updates_->add(1);
-    if (report->decompositions_updated) kfac_decomp_updates_->add(1);
-    kfac_decomp_intra_->add(
-        static_cast<uint64_t>(report->decomp_intra_tasks));
-    kfac_decomp_inter_->add(
-        static_cast<uint64_t>(report->decomp_inter_tasks));
-    kfac_factor_seconds_->set(report->factor_seconds);
-    kfac_decomposition_seconds_->set(report->decomposition_seconds);
-    kfac_precondition_seconds_->set(report->precondition_seconds);
+    if (report->factors_updated) ++kfac_totals_.factor_updates;
+    if (report->decompositions_updated) ++kfac_totals_.decomp_updates;
+    kfac_totals_.decomp_intra_tasks +=
+        static_cast<uint64_t>(report->decomp_intra_tasks);
+    kfac_totals_.decomp_inter_tasks +=
+        static_cast<uint64_t>(report->decomp_inter_tasks);
   }
-
-  if (out_.is_open()) {
-    registry_.write_jsonl(out_, sample.step);
-    out_.flush();  // keep the file tailable while training runs
-    // A full disk (or yanked volume) must not silently truncate the JSONL:
-    // metrics are observability, so degrade to one logged warning instead
-    // of failing the training step.
-    if (!out_ && !write_failure_logged_) {
-      write_failure_logged_ = true;
-      DKFAC_LOG_WARN << "obs: metrics write failed (disk full?) — "
-                        "further step records will be dropped";
-    }
+  if (!out_.is_open()) return;
+  write_jsonl(out_, StepRecord{sample, comm, report, arena, kfac_totals_,
+                               comm::net::faultnet::counts()});
+  out_.flush();  // keep the file tailable while training runs
+  // A full disk (or yanked volume) must not silently truncate the JSONL:
+  // metrics are observability, so degrade to one logged warning instead
+  // of failing the training step.
+  if (!out_ && !write_failure_logged_) {
+    write_failure_logged_ = true;
+    DKFAC_LOG_WARN << "obs: metrics write failed (disk full?) — "
+                      "further step records will be dropped";
   }
 }
 

@@ -1,19 +1,23 @@
-// Bridges the repo's existing stat structs (comm::CommStats,
-// kfac::KfacPreconditioner::StepReport, comm::ArenaStats) into an
-// obs::Registry under stable dotted names and streams one JSONL record
-// per training step. Also derives the paper's Fig. 4 quantity —
-// communication hidden behind backprop vs exposed — from trace-span
-// aggregates when tracing is on, falling back to the AsyncCommStats
-// timers when it is not.
+// The per-step metric schema and its JSONL writer. One static,
+// name-sorted table (metrics.cpp) holds every metric as
+// {name, kind, unit, description, value(StepRecord)}; the README's
+// "Metrics" table is checked against it row for row. A StepRecord bundles
+// the stat structs the trainer already snapshots each step (StepSample,
+// comm::CommStats, the K-FAC StepReport, comm::ArenaStats), so adding a
+// metric is one table row and nothing else.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
+#include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "comm/arena.hpp"
 #include "comm/communicator.hpp"
+#include "comm/net/faultnet.hpp"
 #include "core/preconditioner.hpp"
-#include "obs/registry.hpp"
 
 namespace dkfac::obs {
 
@@ -43,6 +47,47 @@ struct StepSample {
   uint64_t elastic_respawns = 0;
 };
 
+/// K-FAC work summed over the steps recorded so far (StepReport is per
+/// step; the metrics are running totals).
+struct KfacTotals {
+  uint64_t factor_updates = 0;  ///< steps that refreshed the factors
+  uint64_t decomp_updates = 0;  ///< steps that refreshed decompositions
+  uint64_t decomp_intra_tasks = 0;
+  uint64_t decomp_inter_tasks = 0;
+};
+
+/// Everything one step's metrics are read from.
+struct StepRecord {
+  StepSample sample;
+  comm::CommStats comm;
+  /// This step's K-FAC report; null when K-FAC is off.
+  const kfac::KfacPreconditioner::StepReport* report = nullptr;
+  comm::ArenaStats arena;  ///< summed over the comm-path arenas
+  KfacTotals kfac;
+  comm::net::faultnet::InjectCounts faults;  ///< zero without a fault plan
+};
+
+enum class MetricKind {
+  kCounter,  ///< cumulative, written as an integer
+  kGauge,    ///< this step's value, written as %.9g (null if non-finite)
+};
+
+struct MetricDef {
+  std::string_view name;  ///< stable dotted name, the JSONL key
+  MetricKind kind;
+  std::string_view unit;
+  std::string_view description;
+  /// Counters return integers, exact as doubles below 2^53.
+  double (*value)(const StepRecord&);
+};
+
+/// The metric table, strictly sorted by name.
+std::span<const MetricDef> metric_table();
+
+/// One JSON object on a single line: {"step":N,"a.b":1,...} with every
+/// table metric in table (sorted) order.
+void write_jsonl(std::ostream& out, const StepRecord& record);
+
 /// Communication overlap split: hidden = collective time the main thread
 /// never blocked for; exposed = time it did.
 struct OverlapDerived {
@@ -50,93 +95,34 @@ struct OverlapDerived {
   double exposed_seconds = 0.0;
 };
 
-/// Derives the overlap split. With tracing enabled the numbers come from
-/// the "comm.async.flush" / "comm.async.wait" span aggregates (same
-/// events the trace shows); otherwise from the AsyncCommStats timers.
-/// Both paths implement overlap_won_seconds()'s definition, so they agree
-/// up to clock placement.
+/// Splits this rank's collective time by its own AsyncCommStats timers:
+/// hidden is AsyncCommStats::overlap_won_seconds(), hidden + exposed is
+/// comm_seconds.
 OverlapDerived derive_overlap(const comm::AsyncCommStats& async);
 
-/// Owns a Registry wired with the full dotted-name schema plus the output
-/// stream for `train_cli --metrics <path>`. One record() call per step.
+/// Writes `train_cli --metrics <path>`: one JSONL line per record() call.
 class StepMetricsLogger {
  public:
   /// Opens `path` for truncating write; throws dkfac::Error on failure.
-  /// An empty path constructs a disabled logger (record() still updates
-  /// the registry — tests read it — but writes nothing).
+  /// An empty path constructs a disabled logger that writes nothing.
   explicit StepMetricsLogger(const std::string& path);
 
-  /// Updates every metric from this step's stats and appends one JSONL
-  /// line. `report` may be null (K-FAC off); `arena` is the summed
-  /// comm-path arena stats.
+  /// Folds this step's report into the running K-FAC totals and appends
+  /// one JSONL line. `report` may be null (K-FAC off); `arena` is the
+  /// summed comm-path arena stats.
   void record(const StepSample& sample, const comm::CommStats& comm,
               const kfac::KfacPreconditioner::StepReport* report,
               const comm::ArenaStats& arena);
 
-  Registry& registry() { return registry_; }
   bool writing() const { return out_.is_open(); }
 
  private:
-  Registry registry_;
   std::ofstream out_;
   /// A failed JSONL write has been reported (warn once, not per step —
   /// metrics are observability, so a full disk degrades to a warning
   /// instead of killing the training run).
   bool write_failure_logged_ = false;
-
-  // Counters (cumulative, set from the cumulative CommStats each step).
-  Registry::Counter* comm_allreduce_calls_;
-  Registry::Counter* comm_allreduce_bytes_;
-  Registry::Counter* comm_allgather_calls_;
-  Registry::Counter* comm_allgather_bytes_;
-  Registry::Counter* comm_broadcast_calls_;
-  Registry::Counter* comm_broadcast_bytes_;
-  Registry::Counter* comm_wire_sent_bytes_;
-  Registry::Counter* comm_wire_recv_bytes_;
-  Registry::Counter* factor_dense_bytes_;
-  Registry::Counter* factor_packed_bytes_;
-  Registry::Counter* factor_encoded_bytes_;
-  Registry::Counter* decomp_dense_bytes_;
-  Registry::Counter* decomp_packed_bytes_;
-  Registry::Counter* arena_bytes_reserved_;
-  Registry::Counter* arena_steady_allocs_;
-  Registry::Counter* async_submitted_;
-  Registry::Counter* async_batches_;
-  Registry::Counter* kfac_factor_updates_;
-  Registry::Counter* kfac_decomp_updates_;
-  Registry::Counter* kfac_decomp_intra_;
-  Registry::Counter* kfac_decomp_inter_;
-  Registry::Counter* elastic_reformations_;
-  Registry::Counter* elastic_skipped_factor_steps_;
-  Registry::Counter* elastic_joins_;
-  Registry::Counter* elastic_respawns_;
-  // faultnet injection counters, read straight from the global faultnet
-  // atomics at record() time (zero when no plan is armed).
-  Registry::Counter* faultnet_total_;
-  Registry::Counter* faultnet_refused_;
-  Registry::Counter* faultnet_resets_;
-  Registry::Counter* faultnet_stalls_;
-  Registry::Counter* faultnet_short_writes_;
-  Registry::Counter* faultnet_bitflips_;
-  Registry::Counter* faultnet_aborts_;
-
-  // Gauges (this step's values).
-  Registry::Gauge* train_loss_;
-  Registry::Gauge* train_accuracy_;
-  Registry::Gauge* train_lr_;
-  Registry::Gauge* train_step_seconds_;
-  Registry::Gauge* data_load_seconds_;
-  Registry::Gauge* train_forward_seconds_;
-  Registry::Gauge* train_backward_seconds_;
-  Registry::Gauge* comm_grad_seconds_;
-  Registry::Gauge* train_apply_seconds_;
-  Registry::Gauge* async_comm_seconds_;
-  Registry::Gauge* async_wait_seconds_;
-  Registry::Gauge* overlap_hidden_seconds_;
-  Registry::Gauge* overlap_exposed_seconds_;
-  Registry::Gauge* kfac_factor_seconds_;
-  Registry::Gauge* kfac_decomposition_seconds_;
-  Registry::Gauge* kfac_precondition_seconds_;
+  KfacTotals kfac_totals_;
 };
 
 }  // namespace dkfac::obs

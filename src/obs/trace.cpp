@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/error.hpp"
-
 namespace dkfac::obs {
 namespace {
 
@@ -26,8 +24,6 @@ std::atomic<uint32_t>& next_tid() {
 }
 
 }  // namespace
-
-Tracer::Tracer() : aggregates_(new Aggregate[kMaxNames]) {}
 
 Tracer& Tracer::instance() {
   // Leaked on purpose: emission from detaching threads (and static
@@ -65,21 +61,12 @@ void Tracer::clear() {
   for (auto& buffer : buffers_) {
     buffer->head.store(0, std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < kMaxNames; ++i) {
-    aggregates_[i].ticks.store(0, std::memory_order_relaxed);
-    aggregates_[i].count.store(0, std::memory_order_relaxed);
-  }
 }
 
 uint32_t Tracer::intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
-  if (names_.size() >= kMaxNames) {
-    throw Error("obs::Tracer: interned name limit (" +
-                std::to_string(kMaxNames) + ") exceeded by \"" +
-                std::string(name) + "\"");
-  }
   names_.emplace_back(name);
   const uint32_t id = static_cast<uint32_t>(names_.size());  // 1-based
   name_ids_.emplace(names_.back(), id);
@@ -138,27 +125,6 @@ void Tracer::emit(EventType type, uint32_t name, uint32_t arg1_name,
   // Publish after the slot is fully written so snapshot() (which reads
   // head with acquire) never sees a half-written newest event.
   buffer.head.store(head + 1, std::memory_order_release);
-}
-
-void Tracer::add_aggregate(uint32_t name, Ticks duration) {
-  if (name == 0 || name > kMaxNames) return;
-  Aggregate& agg = aggregates_[name - 1];
-  agg.ticks.fetch_add(duration, std::memory_order_relaxed);
-  agg.count.fetch_add(1, std::memory_order_relaxed);
-}
-
-double Tracer::aggregate_seconds(std::string_view name) const {
-  const uint32_t id = find_name(name);
-  if (id == 0 || id > kMaxNames) return 0.0;
-  return static_cast<double>(
-             aggregates_[id - 1].ticks.load(std::memory_order_relaxed)) *
-         kSecondsPerTick;
-}
-
-uint64_t Tracer::aggregate_count(std::string_view name) const {
-  const uint32_t id = find_name(name);
-  if (id == 0 || id > kMaxNames) return 0;
-  return aggregates_[id - 1].count.load(std::memory_order_relaxed);
 }
 
 void Tracer::set_thread_name(std::string_view name) {

@@ -20,9 +20,9 @@
 // stable u32 ids; macro call sites cache the id in a function-local
 // static so steady-state emission never looks at the intern table.
 //
-// Spans also feed per-name duration aggregates (relaxed atomic tick
-// sums), so derived metrics — e.g. communication time hidden behind
-// backprop — survive ring wrap-around and cost one fetch_add per span.
+// The trace is an event log only: per-name totals are computed from a
+// snapshot (or the exported JSON), and no metric is derived from it — the
+// metrics stream (obs/metrics.hpp) reads the stat structs instead.
 //
 // Threading: emission is wait-free per thread (each thread owns its
 // ring). enable()/disable()/clear()/set_epoch_now() and snapshot() are
@@ -100,7 +100,7 @@ class Tracer {
   /// Stops recording. Buffers and their contents are retained for export.
   void disable();
 
-  /// Drops all recorded events, aggregates, and drop counters. Interned
+  /// Drops all recorded events and drop counters. Interned
   /// names and thread registrations survive (call-site static ids and
   /// thread_local buffer pointers stay valid).
   void clear();
@@ -133,16 +133,6 @@ class Tracer {
     emit(EventType::kCounter, name, 0, value);
   }
 
-  /// Folds a closed span's duration into its per-name aggregate.
-  void add_aggregate(uint32_t name, Ticks duration);
-
-  // ---- aggregates --------------------------------------------------------
-
-  /// Total recorded duration of all closed spans named `name` (0.0 if the
-  /// name was never seen). Survives ring wrap-around.
-  double aggregate_seconds(std::string_view name) const;
-  uint64_t aggregate_count(std::string_view name) const;
-
   // ---- thread identity ---------------------------------------------------
 
   /// Labels the calling thread in exported traces ("main", "comm.worker",
@@ -167,23 +157,15 @@ class Tracer {
   uint64_t dropped_events() const;
 
   static constexpr size_t kDefaultRingCapacity = 1 << 16;
-  /// Aggregate slots are preallocated so span-close fetch_adds never
-  /// resize anything; interning more names than this throws.
-  static constexpr size_t kMaxNames = 1024;
 
  private:
-  Tracer();
+  Tracer() = default;
 
   struct ThreadBuffer {
     std::vector<TraceEvent> ring;
     std::atomic<uint64_t> head{0};  ///< events ever written
     uint32_t tid = 0;
     std::string name;
-  };
-
-  struct Aggregate {
-    std::atomic<uint64_t> ticks{0};
-    std::atomic<uint64_t> count{0};
   };
 
   static std::atomic<bool>& enabled_flag();
@@ -206,7 +188,6 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   size_t ring_capacity_ = kDefaultRingCapacity;
   std::atomic<Ticks> epoch_{0};
-  std::unique_ptr<Aggregate[]> aggregates_;  // kMaxNames slots
 };
 
 /// RAII span. Construct with an interned name id (0 = inactive no-op —
@@ -216,10 +197,7 @@ class Tracer {
 class SpanScope {
  public:
   explicit SpanScope(uint32_t name) : name_(name) {
-    if (name_ != 0) {
-      start_ = now_ticks();
-      Tracer::instance().emit(EventType::kBegin, name_, 0, 0, 0, 0, start_);
-    }
+    if (name_ != 0) Tracer::instance().emit(EventType::kBegin, name_);
   }
 
   SpanScope(const SpanScope&) = delete;
@@ -244,16 +222,12 @@ class SpanScope {
 
   ~SpanScope() {
     if (name_ == 0) return;
-    const Ticks end = now_ticks();
-    Tracer& tracer = Tracer::instance();
-    tracer.emit(EventType::kEnd, name_, arg1_name_, arg1_, arg2_name_, arg2_,
-                end);
-    tracer.add_aggregate(name_, end - start_);
+    Tracer::instance().emit(EventType::kEnd, name_, arg1_name_, arg1_,
+                            arg2_name_, arg2_);
   }
 
  private:
   uint32_t name_ = 0;
-  Ticks start_ = 0;
   uint32_t arg1_name_ = 0;
   uint32_t arg2_name_ = 0;
   uint64_t arg1_ = 0;

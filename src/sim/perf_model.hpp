@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "comm/cost_model.hpp"
 #include "core/assignment.hpp"
 #include "sim/arch_stats.hpp"
 
@@ -29,8 +30,9 @@ namespace dkfac::sim {
 
 struct ClusterConfig {
   // --- network (effective, includes NCCL/launch + straggler overheads) ---
-  double alpha_s = 310e-6;     // per-hop collective latency
-  double bandwidth = 6.3e9;    // sustained bytes/s per GPU link share
+  // Per-hop collective latency 310 µs and 6.3 GB/s sustained per GPU link
+  // share; the efficiency is folded into the calibrated bandwidth.
+  comm::CostModel network{310e-6, 6.3e9, 1.0};
 
   // --- compute throughputs (effective FLOP/s on V100 FP32) ---------------
   double gemm_tput = 1.0e13;     // forward/backward conv GEMMs
@@ -54,10 +56,6 @@ struct ClusterConfig {
   // --- misc ----------------------------------------------------------------
   double fixed_s = 0.030;      // per-iteration I/O + launch + variable update
   int64_t local_batch = 32;    // paper: batch = 32 × GPUs
-
-  // Collective times (ring allreduce / allgather, binomial broadcast).
-  double allreduce_s(int64_t bytes, int ranks) const;
-  double allgather_s(int64_t total_bytes, int ranks) const;
 };
 
 /// Per-K-FAC-update-step profile — the rows of the paper's Table V.

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comm/async_executor.hpp"
@@ -183,8 +185,14 @@ TEST(Arena, ContiguousArenaViewsReduceInPlaceWithoutStaging) {
 TEST(Arena, ScatteredViewsFallBackToStagingWithSameResult) {
   LocalGroup group(2);
   group.run([&](int rank, Communicator& comm) {
-    std::vector<float> a(16, static_cast<float>(rank + 1));
-    std::vector<float> b(16, static_cast<float>(2 * (rank + 1)));
+    // Two views with a gap between them in one allocation: separately
+    // allocated vectors may sit back to back (sanitizer allocators pack
+    // small blocks), which would make them contiguous after all.
+    std::vector<float> storage(48, 0.0f);
+    const std::span<float> a(storage.data(), 16);
+    const std::span<float> b(storage.data() + 32, 16);
+    std::fill(a.begin(), a.end(), static_cast<float>(rank + 1));
+    std::fill(b.begin(), b.end(), static_cast<float>(2 * (rank + 1)));
     FusionBuffer fusion(comm, 1 << 20);
     fusion.add(a);
     fusion.add(b);

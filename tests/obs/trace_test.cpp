@@ -53,7 +53,7 @@ using testing::JsonValue;
 using testing::parse_json;
 
 // The tracer is a process-wide singleton shared by every test in this
-// binary: reset recording state (events, aggregates, drop counters)
+// binary: reset recording state (events, drop counters)
 // without invalidating interned ids or thread registrations.
 void reset_tracer(size_t ring_capacity = Tracer::kDefaultRingCapacity) {
   Tracer& tracer = Tracer::instance();
@@ -95,11 +95,6 @@ TEST(Trace, SpanNestingEmitsBalancedPairs) {
   for (size_t i = 1; i < snap.events.size(); ++i) {
     EXPECT_GE(snap.events[i].ticks, snap.events[i - 1].ticks);
   }
-  // Aggregates: one closed span each, outer at least as long as inner.
-  EXPECT_EQ(tracer.aggregate_count("nest.outer"), 1u);
-  EXPECT_EQ(tracer.aggregate_count("nest.inner"), 1u);
-  EXPECT_GE(tracer.aggregate_seconds("nest.outer"),
-            tracer.aggregate_seconds("nest.inner"));
 }
 
 TEST(Trace, SpanArgsRideTheCloseEvent) {
@@ -142,7 +137,6 @@ TEST(Trace, ThreadsRecordIntoTheirOwnRings) {
   EXPECT_EQ(snap_a.events.size(), 2u * kSpans);
   EXPECT_EQ(snap_b.events.size(), 2u * kSpans);
   EXPECT_NE(snap_a.tid, snap_b.tid);
-  EXPECT_EQ(Tracer::instance().aggregate_count("threads.work"), 2u * kSpans);
 }
 
 TEST(Trace, RingWrapDropsOldestAndCountsIt) {
@@ -162,20 +156,6 @@ TEST(Trace, RingWrapDropsOldestAndCountsIt) {
   }
 }
 
-TEST(Trace, AggregatesSurviveRingWrap) {
-  reset_tracer(/*ring_capacity=*/4);
-  Tracer::set_thread_name("t.agg");
-  constexpr int kSpans = 100;
-  for (int i = 0; i < kSpans; ++i) {
-    DKFAC_TRACE_SCOPE("agg.wrapped");
-  }
-  const auto snap = find_thread("t.agg");
-  EXPECT_LE(snap.events.size(), 4u);
-  EXPECT_EQ(Tracer::instance().aggregate_count("agg.wrapped"),
-            static_cast<uint64_t>(kSpans));
-  EXPECT_GT(Tracer::instance().aggregate_seconds("agg.wrapped"), 0.0);
-}
-
 TEST(Trace, ClearKeepsInternedIdsAndThreads) {
   reset_tracer();
   Tracer::set_thread_name("t.clear");
@@ -186,7 +166,6 @@ TEST(Trace, ClearKeepsInternedIdsAndThreads) {
   }
   tracer.clear();
   EXPECT_EQ(tracer.intern("clear.sticky"), id);  // call-site statics stay valid
-  EXPECT_EQ(tracer.aggregate_count("clear.sticky"), 0u);
   EXPECT_EQ(find_thread("t.clear").events.size(), 0u);
 }
 
@@ -208,7 +187,6 @@ TEST(Trace, DisabledMacrosEmitNothing) {
   }
   Tracer::instance().enable();  // re-enable so snapshot reflects the ring
   EXPECT_EQ(find_thread("t.disabled").events.size(), 0u);
-  EXPECT_EQ(Tracer::instance().aggregate_count("disabled.warm"), 0u);
 }
 
 // ---- exporter --------------------------------------------------------------

@@ -159,7 +159,7 @@ TEST(PerfModel, InvalidInputsThrow) {
   EXPECT_THROW(sim.kfac_iteration_s(16, DistributionStrategy::kFactorWise, 0, 10),
                Error);
   ClusterConfig config;
-  EXPECT_THROW(config.allreduce_s(100, 0), Error);
+  EXPECT_THROW(config.network.allreduce_time(100, 0), Error);
 }
 
 }  // namespace
