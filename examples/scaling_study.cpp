@@ -4,22 +4,57 @@
 // real ResNet architectures, and recommends an update interval.
 //
 //   usage: scaling_study [depth] [gpus]   (defaults: 50 256)
+//
+// depth is one of sim::resnet_imagenet_arch's depths; the table doubles the
+// GPU count from 16 up to gpus. Bad input exits 2.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <utility>
 
+#include "common/error.hpp"
 #include "sim/perf_model.hpp"
+
+namespace {
+
+[[noreturn]] void reject(const char* arg, const char* expected,
+                         const char* got, const char* detail = nullptr) {
+  std::fprintf(stderr, "scaling_study: %s: expected %s, got '%s'%s%s%s\n",
+               arg, expected, got, detail ? " (" : "", detail ? detail : "",
+               detail ? ")" : "");
+  std::exit(2);
+}
+
+int integer(const char* arg, const char* text) {
+  int value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) reject(arg, "an integer", text);
+  return value;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dkfac;
   using kfac::DistributionStrategy;
 
-  const int depth = argc > 1 ? std::atoi(argv[1]) : 50;
-  const int max_gpus = argc > 2 ? std::atoi(argv[2]) : 256;
+  if (argc > 3) reject("arguments", "at most [depth] [gpus]", argv[3]);
+  const int depth = argc > 1 ? integer("depth", argv[1]) : 50;
+  const int max_gpus = argc > 2 ? integer("gpus", argv[2]) : 256;
+  if (max_gpus < 16) reject("gpus", "an integer >= 16", argv[2]);
   constexpr int64_t kSamples = 1'281'167;
 
-  sim::ClusterSim cluster(sim::resnet_imagenet_arch(depth));
+  sim::ArchInfo arch;
+  try {
+    arch = sim::resnet_imagenet_arch(depth);
+  } catch (const Error& e) {
+    reject("depth", "an ImageNet ResNet depth", argv[1], e.what());
+  }
+  sim::ClusterSim cluster(std::move(arch));
   std::printf("scaling study: ResNet-%d (%lld params, %zu K-FAC layers), "
               "ImageNet-1k, batch 32/GPU\n\n",
               depth, static_cast<long long>(cluster.arch().total_params()),

@@ -467,7 +467,8 @@ TrainResult train_distributed(const ModelFactory& factory,
 
 int omp_threads_per_rank(int world_size) {
   DKFAC_CHECK(world_size >= 1);
-  return std::max(1, omp_get_num_procs() / world_size);
+  return std::max(1, std::min(omp_get_max_threads(),
+                              omp_get_num_procs() / world_size));
 }
 
 TrainResult train_single(const ModelFactory& factory,

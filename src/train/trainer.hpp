@@ -185,8 +185,10 @@ TrainResult train_with_comm(const ModelFactory& factory,
                             const TrainConfig& config,
                             comm::Communicator& comm);
 
-/// OpenMP team size for one of `world_size` ranks sharing this machine
-/// (cores divided evenly, at least 1). The single definition every
+/// OpenMP team size for one of `world_size` ranks sharing this machine:
+/// cores divided evenly, at least 1, and never more than the calling
+/// thread's own team size, so a user's OMP_NUM_THREADS (or an earlier
+/// omp_set_num_threads) caps every rank. The single definition every
 /// launcher must use — train_distributed applies it to thread ranks, and
 /// socket-rank callers apply it in each forked process — so both backends
 /// run identical per-rank parallelism.

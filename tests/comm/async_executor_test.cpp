@@ -4,8 +4,8 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
-#include <thread>
+#include <condition_variable>
+#include <mutex>
 #include <vector>
 
 #include "comm/codec.hpp"
@@ -301,36 +301,57 @@ TEST(AsyncExecutor, ErrorDoesNotWedgeLaterSubmissions) {
 }
 
 TEST(AsyncExecutor, OverlapsCommunicationWithMainThreadCompute) {
-  /// Communicator with a slow allreduce: if the pipeline really runs in
-  /// the background, main-thread work proceeds while the collective
-  /// sleeps, and wait() blocks for (almost) nothing afterwards.
-  class SlowComm final : public Communicator {
+  /// Communicator that counts its collectives and signals each one's end.
+  /// If the pipeline really runs in the background, the eager batch
+  /// completes while the main thread is still "computing" (blocked on that
+  /// signal), and wait() finds nothing left to issue. An executor that
+  /// only communicates inside wait() never signals, so the test hangs
+  /// until the ctest TIMEOUT fails it.
+  class SignallingComm final : public Communicator {
    public:
     int rank() const override { return 0; }
     int size() const override { return 1; }
-    void allreduce(std::span<float>, ReduceOp) override {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    void allreduce(std::span<float>, ReduceOp) override { finish(); }
     void allgather_into(std::span<const float> send,
                         std::vector<float>& recv) override {
       recv.assign(send.begin(), send.end());
+      finish();
     }
-    void broadcast(std::span<float>, int) override {}
-    void barrier() override {}
+    void broadcast(std::span<float>, int) override { finish(); }
+    void barrier() override { finish(); }
+
+    int await_first() {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_.wait(lock, [this] { return collectives_ > 0; });
+      return collectives_;
+    }
+    int collectives() {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return collectives_;
+    }
+
+   private:
+    void finish() {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++collectives_;
+      done_.notify_all();
+    }
+    std::mutex mutex_;
+    std::condition_variable done_;
+    int collectives_ = 0;
   };
 
-  SlowComm comm;
+  SignallingComm comm;
   std::vector<float> payload = iota(16, 0.0f);
   AsyncExecutor executor(comm, /*capacity_bytes=*/32 << 20,
                          /*eager_bytes=*/sizeof(float));
   executor.submit(payload, ReduceOp::kAverage);
-  // Simulate backprop continuing while the 50 ms collective runs.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  // The collective finished before wait() was entered...
+  const int before_wait = comm.await_first();
+  EXPECT_EQ(before_wait, 1);
   executor.wait();
-  const AsyncExecutor::Stats stats = executor.stats();
-  EXPECT_GE(stats.comm_seconds, 0.045);
-  // The collective finished during the "compute": the win is most of it.
-  EXPECT_GT(stats.overlap_won_seconds(), 0.025);
+  // ...and wait() issued no further collective.
+  EXPECT_EQ(comm.collectives(), before_wait);
 }
 
 }  // namespace
