@@ -14,13 +14,14 @@
 //
 // Reported per slack setting: factor updates shed, final train loss and
 // val accuracy, and the deltas against the slack-disabled baseline.
-// Results land in BENCH_elastic.json.
+// Results land in the ablation_elastic rows of LEDGER.jsonl.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ledger.hpp"
 #include "train/trainer.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ struct Row {
 int main() {
   bench::print_banner("Ablation",
                       "Shed-step cost vs straggler slack (elastic follow-on)");
+  bench::Ledger ledger("ablation_elastic", bench::yardstick_ms());
   bench::print_note(
       "rank 3 reports 20 ms of simulated lag into every straggler vote; "
       "the sweep varies straggler_slack_s only, so shed factor updates are "
@@ -69,6 +71,10 @@ int main() {
     row.result = train::train_distributed(factory, spec, config, kWorld);
   }
 
+  ledger.add("run", "world_size", kWorld);
+  ledger.add("run", "epochs", kEpochs);
+  ledger.add("run", "straggler_rank", kStragglerRank);
+  ledger.add("run", "straggler_lag_s", kStragglerLagSeconds);
   const Row& base = rows.front();
   std::printf("%-16s %10s %12s %12s %12s %10s %10s\n", "config", "shed",
               "train loss", "loss delta", "val acc", "acc delta", "steps");
@@ -83,36 +89,17 @@ int main() {
                 100.0f * (row.result.final_val_accuracy -
                           base.result.final_val_accuracy),
                 static_cast<long long>(row.result.iterations));
+    ledger.add(row.name, "slack_s", row.slack_s);
+    ledger.add(row.name, "shed_factor_steps",
+               static_cast<double>(row.result.skipped_factor_steps));
+    ledger.add(row.name, "steps", static_cast<double>(row.result.iterations));
+    ledger.add(row.name, "final_train_loss", loss);
+    ledger.add(row.name, "loss_delta", loss - base_loss);
+    ledger.add(row.name, "final_val_accuracy", row.result.final_val_accuracy);
+    ledger.add(row.name, "val_accuracy_delta",
+               row.result.final_val_accuracy - base.result.final_val_accuracy);
   }
 
-  FILE* json = std::fopen("BENCH_elastic.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"ablation_elastic\",\n");
-    std::fprintf(json,
-                 "  \"world_size\": %d,\n  \"epochs\": %d,\n"
-                 "  \"straggler_rank\": %d,\n  \"straggler_lag_s\": %.3f,\n",
-                 kWorld, kEpochs, kStragglerRank, kStragglerLagSeconds);
-    std::fprintf(json, "  \"results\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      const float loss = row.result.epochs.back().train_loss;
-      const float base_loss = base.result.epochs.back().train_loss;
-      std::fprintf(
-          json,
-          "    {\"config\": \"%s\", \"slack_s\": %.3f, "
-          "\"shed_factor_steps\": %llu, \"steps\": %lld, "
-          "\"final_train_loss\": %.4f, \"loss_delta\": %.4f, "
-          "\"final_val_accuracy\": %.4f, \"val_accuracy_delta\": %.4f}%s\n",
-          row.name, row.slack_s,
-          static_cast<unsigned long long>(row.result.skipped_factor_steps),
-          static_cast<long long>(row.result.iterations), loss,
-          loss - base_loss, row.result.final_val_accuracy,
-          row.result.final_val_accuracy - base.result.final_val_accuracy,
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_elastic.json\n");
-  }
+  ledger.write();
   return 0;
 }

@@ -1,43 +1,45 @@
-// Ablation: legacy scalar linalg kernels vs the packed micro-kernel rewrite.
+// Ablation: the linalg and nn kernels on the shapes the paper puts on the
+// critical path (Table 1 / Fig 10), recorded as ablation_kernels rows of
+// LEDGER.jsonl. Every number is report-only; a kernel change is judged by
+// rerunning this bench on the parent commit and on the change.
 //
-// PR 5 replaced the row-panel scalar GEMM with a Goto-style packed,
-// register-blocked micro-kernel (AVX2/FMA when DKFAC_NATIVE_ARCH is on),
-// added a dedicated SYRK for the AᵀA/GᵀG factor statistics, and blocked /
-// parallelized the Cholesky and eigensolve. This bench keeps a verbatim
-// copy of the seed kernels ("legacy") and times both on the shapes the
-// paper puts on the critical path (Table 1 / Fig 10): square GEMMs from the
-// im2col path and the tall-skinny 4096×d AᵀA factor shape. Results land in
-// BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact.
+//  1. Single-thread kernels: square GEMMs from the im2col path, the
+//     tall-skinny 4096×d AᵀA factor shape through gemm and syrk, gemv and
+//     transpose.
+//  2. Decompositions at n = 64…512 on one thread, each against a same-order
+//     fp64 gemm through the packed driver (dgemm_<n>): the decomposition's
+//     classical flop count is converted to "ms at gemm speed" — sym_eig ≈
+//     9n³ flops (4/3 n³ reduction + 4/3 n³ orthogonal-matrix formation +
+//     ~6n³ for the tridiagonal eigensolve with vectors), spd_inverse ≈ n³
+//     (potrf + trtri + lauum at n³/3 each), gemm = 2n³ — and
+//     ratio_vs_gemm_equiv is the measured time over that.
+//  3. The kernels a ResNet-20 width-8 training step runs every iteration —
+//     the K-FAC factor syrks and the conv weight-gradient gemms — at 1 and 2
+//     OpenMP threads, so a schedule that stops scaling shows up.
+//  4. The element-wise glue around the conv GEMMs — im2col, col2im, ReLU
+//     and BatchNorm forward/backward — on the ResNet-20 width-8 stage shapes
+//     at 1 and 2 threads.
+//  5. The batched factor-decomposition scheduler against a plain serial
+//     loop over a ResNet-ish factor multiset, at 1, 2 and 4 threads (capped
+//     at the core count). bitwise_match is the load-bearing bit: batched
+//     and serial results must be identical.
 //
-// A second section times the kernels a ResNet-20 width-8 training step runs
-// on every iteration — the K-FAC factor syrks and the conv weight-gradient
-// gemms — at 1 and 2 OpenMP threads, so a schedule that stops scaling with
-// the thread count shows up here. Every number is report-only.
-//
-// A third section times the element-wise glue around the conv GEMMs —
-// im2col, col2im, ReLU and BatchNorm forward/backward — on the ResNet-20
-// width-8 stage shapes at 1 and 2 threads, the reference loops of
-// tests/nn/legacy_kernels.hpp against the library's layers.
-//
-// This file is compiled WITHOUT the native-arch flags (bench/ uses the
-// default arch), so "legacy" is measured exactly as the seed built it.
+// Configs are "<kernel>/t<threads>".
 #include <omp.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/clock.hpp"
-#include "legacy_decomp.hpp"
+#include "ledger.hpp"
+#include "linalg/batch.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/legacy_kernels.hpp"
 #include "tensor/random.hpp"
 
 namespace {
@@ -45,220 +47,121 @@ namespace {
 using namespace dkfac;
 using linalg::Trans;
 
-// ---- verbatim seed kernels (PR 0 state of src/linalg/blas.cpp) ------------
-
-void legacy_gemm(float alpha, const Tensor& a, Trans trans_a, const Tensor& b,
-                 Trans trans_b, float beta, Tensor& c) {
-  const int64_t m = trans_a == Trans::kNo ? a.dim(0) : a.dim(1);
-  const int64_t k = trans_a == Trans::kNo ? a.dim(1) : a.dim(0);
-  const int64_t n = trans_b == Trans::kNo ? b.dim(1) : b.dim(0);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  const int64_t lda = a.dim(1);
-  const int64_t ldb = b.dim(1);
-  if (beta != 1.0f) {
-    if (beta == 0.0f) {
-      c.zero_();
-    } else {
-      c.scale_(beta);
-    }
-  }
-  constexpr int64_t kBlock = 64;
-#pragma omp parallel for schedule(static)
-  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-    const int64_t i1 = std::min(i0 + kBlock, m);
-    for (int64_t k0 = 0; k0 < k; k0 += kBlock) {
-      const int64_t k1 = std::min(k0 + kBlock, k);
-      for (int64_t i = i0; i < i1; ++i) {
-        float* crow = pc + i * n;
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const float aval =
-              alpha * (trans_a == Trans::kNo ? pa[i * lda + kk] : pa[kk * lda + i]);
-          if (aval == 0.0f) continue;
-          if (trans_b == Trans::kNo) {
-            const float* brow = pb + kk * ldb;
-            for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-          } else {
-            const float* bcol = pb + kk;
-            for (int64_t j = 0; j < n; ++j) crow[j] += aval * bcol[j * ldb];
-          }
-        }
-      }
-    }
-  }
-}
-
-void legacy_gemv(float alpha, const Tensor& a, Trans trans_a, const Tensor& x,
-                 float beta, Tensor& y) {
-  const int64_t m = trans_a == Trans::kNo ? a.dim(0) : a.dim(1);
-  const int64_t k = trans_a == Trans::kNo ? a.dim(1) : a.dim(0);
-  const int64_t lda = a.dim(1);
-  for (int64_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    for (int64_t j = 0; j < k; ++j) {
-      const float aij =
-          trans_a == Trans::kNo ? a.data()[i * lda + j] : a.data()[j * lda + i];
-      acc += static_cast<double>(aij) * x[j];
-    }
-    y[i] = alpha * static_cast<float>(acc) + beta * y[i];
-  }
-}
-
-Tensor legacy_transpose(const Tensor& a) {
-  const int64_t m = a.dim(0);
-  const int64_t n = a.dim(1);
-  Tensor out(Shape{n, m});
-  constexpr int64_t kBlock = 32;
-  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-    for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-      const int64_t i1 = std::min(i0 + kBlock, m);
-      const int64_t j1 = std::min(j0 + kBlock, n);
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t j = j0; j < j1; ++j) {
-          out.data()[j * m + i] = a.data()[i * n + j];
-        }
-      }
-    }
-  }
-  return out;
-}
-
-// ---- measurement ----------------------------------------------------------
-
-/// Median-of-repeats wall time for `fn`, after one untimed warm-up.
-template <typename Fn>
-double time_ms(Fn&& fn, int repeats) {
-  fn();
-  std::vector<double> times;
-  times.reserve(static_cast<size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = Clock::now();
-    fn();
-    times.push_back(seconds_since(start) * 1e3);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
-struct Row {
-  std::string kernel;
-  double legacy_ms = 0.0;
-  double new_ms = 0.0;
-  double flops = 0.0;  // 0 → report ms only
-  int threads = 1;
-};
-
 double gflops(double flops, double ms) {
   return ms > 0.0 ? flops / (ms * 1e6) : 0.0;
+}
+
+Tensor make_spd(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  Tensor m = Tensor::randn(Shape{n, n}, rng);
+  Tensor spd(Shape{n, n});
+  linalg::syrk(1.0f / static_cast<float>(n), m, Trans::kYes, 0.0f, spd);
+  linalg::add_diagonal(spd, 0.1f);
+  return spd;
+}
+
+std::string config(const std::string& kernel, int threads) {
+  return kernel + "/t" + std::to_string(threads);
 }
 
 }  // namespace
 
 int main() {
-  // Pin to one thread: the recorded trajectory is a single-thread GFLOP/s
-  // comparison, stable across CI runners with different core counts. Only
-  // the training-kernel rows also run at 2 threads.
-  omp_set_num_threads(1);
+  const double yardstick = bench::yardstick_ms();
+  bench::Ledger ledger("ablation_kernels", yardstick);
   std::printf("\n================================================================\n");
-  std::printf("Ablation — legacy scalar kernels vs packed micro-kernel linalg\n");
+  std::printf("Ablation — linalg and nn kernels (yardstick %.3f ms)\n",
+              yardstick);
   std::printf("================================================================\n");
-  std::printf("threads pinned to 1 (single-thread kernel comparison); "
-              "training-kernel rows at 1 and 2\n");
+  std::printf("\n%-32s %10s %10s %10s\n", "config", "ms", "norm", "GFLOP/s");
 
-  std::vector<Row> rows;
+  // One ms row (plus GFLOP/s when the flop count is known), printed as it
+  // is recorded.
+  const auto record = [&](const std::string& cfg, double ms, double flops) {
+    ledger.add(cfg, "ms", ms);
+    if (flops > 0.0) ledger.add(cfg, "gflops", gflops(flops, ms));
+    std::printf("%-32s %10.3f %10.3f", cfg.c_str(), ms, ms / yardstick);
+    if (flops > 0.0) {
+      std::printf(" %10.2f\n", gflops(flops, ms));
+    } else {
+      std::printf(" %10s\n", "-");
+    }
+  };
+
+  omp_set_num_threads(1);
   const int reps = 5;
 
-  // Square GEMM (the im2col forward/backward shape). 512 is the acceptance
-  // shape; 128/256 show the trend.
+  // ---- 1. single-thread kernels --------------------------------------------
   for (int64_t n : {128, 256, 512}) {
     Rng rng(1);
     Tensor a = Tensor::randn(Shape{n, n}, rng);
     Tensor b = Tensor::randn(Shape{n, n}, rng);
     Tensor c(Shape{n, n});
-    Row row{"gemm_nn_" + std::to_string(n), 0, 0,
-            2.0 * static_cast<double>(n) * n * n};
-    row.legacy_ms = time_ms(
-        [&] { legacy_gemm(1.0f, a, Trans::kNo, b, Trans::kNo, 0.0f, c); }, reps);
-    row.new_ms = time_ms(
-        [&] { linalg::gemm(1.0f, a, Trans::kNo, b, Trans::kNo, 0.0f, c); }, reps);
-    rows.push_back(row);
+    record(config("gemm_nn_" + std::to_string(n), 1),
+           bench::time_ms(
+               [&] { linalg::gemm(1.0f, a, Trans::kNo, b, Trans::kNo, 0.0f, c); },
+               reps),
+           2.0 * static_cast<double>(n) * n * n);
   }
-
-  // The factor-statistics shape: AᵀA with A = [4096, d] (N·OH·OW patches ×
-  // patch dim). Legacy pays strided reads on the transposed operand; the
-  // packed kernel normalizes the transpose away, and syrk halves the flops.
   for (int64_t d : {27, 144, 288}) {
     const int64_t r = 4096;
     Rng rng(2);
     Tensor a = Tensor::randn(Shape{r, d}, rng);
     Tensor c(Shape{d, d});
     const double flops = 2.0 * static_cast<double>(r) * d * d;
-    Row gemm_row{"gemm_ata_4096x" + std::to_string(d), 0, 0, flops};
-    gemm_row.legacy_ms = time_ms(
-        [&] {
-          legacy_gemm(1.0f / r, a, Trans::kYes, a, Trans::kNo, 0.0f, c);
-        },
-        reps);
-    gemm_row.new_ms = time_ms(
-        [&] {
-          linalg::gemm(1.0f / r, a, Trans::kYes, a, Trans::kNo, 0.0f, c);
-        },
-        reps);
-    rows.push_back(gemm_row);
-
-    Row syrk_row{"syrk_ata_4096x" + std::to_string(d), 0, 0, flops};
-    syrk_row.legacy_ms = gemm_row.legacy_ms;  // legacy had no syrk: full gemm
-    syrk_row.new_ms = time_ms(
-        [&] { linalg::syrk(1.0f / r, a, Trans::kYes, 0.0f, c); }, reps);
-    rows.push_back(syrk_row);
+    const std::string shape = "_ata_4096x" + std::to_string(d);
+    record(config("gemm" + shape, 1),
+           bench::time_ms(
+               [&] {
+                 linalg::gemm(1.0f / r, a, Trans::kYes, a, Trans::kNo, 0.0f, c);
+               },
+               reps),
+           flops);
+    record(config("syrk" + shape, 1),
+           bench::time_ms(
+               [&] { linalg::syrk(1.0f / r, a, Trans::kYes, 0.0f, c); }, reps),
+           flops);
   }
-
-  // gemv and transpose (satellite kernels).
   {
     const int64_t n = 1024;
     Rng rng(3);
     Tensor a = Tensor::randn(Shape{n, n}, rng);
     Tensor x = Tensor::randn(Shape{n}, rng);
     Tensor y(Shape{n});
-    Row row{"gemv_n_1024", 0, 0, 2.0 * static_cast<double>(n) * n};
-    row.legacy_ms =
-        time_ms([&] { legacy_gemv(1.0f, a, Trans::kNo, x, 0.0f, y); }, reps);
-    row.new_ms =
-        time_ms([&] { linalg::gemv(1.0f, a, Trans::kNo, x, 0.0f, y); }, reps);
-    rows.push_back(row);
-
-    Row trow{"transpose_1024", 0, 0, 0.0};
-    trow.legacy_ms = time_ms([&] { legacy_transpose(a); }, reps);
-    trow.new_ms = time_ms([&] { linalg::transpose(a); }, reps);
-    rows.push_back(trow);
+    record(config("gemv_n_1024", 1),
+           bench::time_ms(
+               [&] { linalg::gemv(1.0f, a, Trans::kNo, x, 0.0f, y); }, reps),
+           2.0 * static_cast<double>(n) * n);
+    record(config("transpose_1024", 1),
+           bench::time_ms([&] { linalg::transpose(a); }, reps), 0.0);
   }
 
-  // Decompositions (Table 1 critical path): blocked Cholesky + triangular
-  // inverse and the blocked-Householder/divide-and-conquer eigensolve,
-  // against the seed kernels (EISPACK tred2/tql2, unblocked Cholesky with
-  // dense triangular solves) embedded in legacy_decomp.hpp.
-  for (int64_t n : {128, 256}) {
-    Rng rng(4);
-    Tensor m = Tensor::randn(Shape{n, n}, rng);
-    Tensor spd(Shape{n, n});
-    linalg::syrk(1.0f, m, Trans::kYes, 0.0f, spd);
-    linalg::add_diagonal(spd, 0.1f);
-    Row inv_row{"spd_inverse_" + std::to_string(n), 0, 0, 0.0};
-    inv_row.legacy_ms =
-        time_ms([&] { bench_legacy::legacy_spd_inverse(spd); }, 3);
-    inv_row.new_ms = time_ms([&] { linalg::spd_inverse(spd); }, 3);
-    rows.push_back(inv_row);
-    Row eig_row{"sym_eig_" + std::to_string(n), 0, 0, 0.0};
-    eig_row.legacy_ms = time_ms([&] { bench_legacy::legacy_sym_eig(spd); }, 3);
-    eig_row.new_ms = time_ms([&] { linalg::sym_eig(spd); }, 3);
-    rows.push_back(eig_row);
+  // ---- 2. decompositions against their gemm-flop equivalent ----------------
+  ledger.add("flop_model", "sym_eig", "9n^3");
+  ledger.add("flop_model", "spd_inverse", "n^3 (potrf+trtri+lauum)");
+  ledger.add("flop_model", "gemm", "2n^3");
+  for (int64_t n : {64, 128, 256, 512}) {
+    const double n3 = static_cast<double>(n) * n * n;
+    const int decomp_reps = n >= 512 ? 1 : 3;
+    const Tensor spd = make_spd(n, 4);
+    const double gemm_ms = bench::dgemm_ms(n, decomp_reps);
+    record(config("dgemm_" + std::to_string(n), 1), gemm_ms, 2.0 * n3);
+    const auto decomp = [&](const char* kernel, double flops, auto&& fn) {
+      const std::string cfg = config(kernel + ("_" + std::to_string(n)), 1);
+      const double ms = bench::time_ms(fn, decomp_reps);
+      const double equiv_ms = gemm_ms * flops / (2.0 * n3);
+      record(cfg, ms, flops);
+      ledger.add(cfg, "gemm_equiv_ms", equiv_ms);
+      ledger.add(cfg, "ratio_vs_gemm_equiv", ms / equiv_ms);
+    };
+    decomp("sym_eig", 9.0 * n3, [&] { linalg::sym_eig(spd); });
+    decomp("spd_inverse", n3, [&] { linalg::spd_inverse(spd); });
   }
 
-  // ResNet-20 width-8 training kernels at batch 32 on 16×16 inputs, at 1 and
-  // 2 threads: the K-FAC A/G factor syrks (rows = N·OH·OW, d = factor dim)
-  // and the conv weight gradient dW = grad_rowsᵀ·patches (out-channels ×
-  // patch dim, reduced over the same rows).
+  // ---- 3. ResNet-20 width-8 training kernels at 1 and 2 threads ------------
+  // Batch 32 on 16×16 inputs: the K-FAC A/G factor syrks (rows = N·OH·OW,
+  // d = factor dim) and the conv weight gradient dW = grad_rowsᵀ·patches
+  // (out-channels × patch dim, reduced over the same rows).
   struct TrainShape {
     const char* kind;
     int64_t rows, m, n;  // syrk: m = n = d
@@ -278,35 +181,30 @@ int main() {
     const Tensor g = Tensor::randn(Shape{shape.rows, shape.m}, rng);
     Tensor c(Shape{shape.m, shape.n});
     const float scale = 1.0f / static_cast<float>(shape.rows);
+    const std::string kernel = std::string(shape.kind) + "_" +
+                               std::to_string(shape.rows) + "x" +
+                               std::to_string(shape.m) + "x" +
+                               std::to_string(shape.n);
     for (int threads : {1, 2}) {
       omp_set_num_threads(threads);
-      Row row{std::string(shape.kind) + "_" + std::to_string(shape.rows) +
-                  "x" + std::to_string(shape.m) + "x" + std::to_string(shape.n),
-              0, 0,
-              2.0 * static_cast<double>(shape.rows) * shape.m * shape.n,
-              threads};
-      const Tensor& lhs = is_syrk ? x : g;
-      row.legacy_ms = time_ms(
-          [&] { legacy_gemm(scale, lhs, Trans::kYes, x, Trans::kNo, 0.0f, c); },
-          train_reps);
-      row.new_ms = time_ms(
-          [&] {
-            if (is_syrk) {
-              linalg::syrk(scale, x, Trans::kYes, 0.0f, c);
-            } else {
-              linalg::gemm(scale, g, Trans::kYes, x, Trans::kNo, 0.0f, c);
-            }
-          },
-          train_reps);
-      rows.push_back(row);
+      record(config(kernel, threads),
+             bench::time_ms(
+                 [&] {
+                   if (is_syrk) {
+                     linalg::syrk(scale, x, Trans::kYes, 0.0f, c);
+                   } else {
+                     linalg::gemm(scale, g, Trans::kYes, x, Trans::kNo, 0.0f, c);
+                   }
+                 },
+                 train_reps),
+             2.0 * static_cast<double>(shape.rows) * shape.m * shape.n);
     }
   }
-  omp_set_num_threads(1);
 
-  // nn glue on the ResNet-20 width-8 stage inputs at batch 32: stage s of
-  // 1..3 is [32, 8·2^(s−1), 16/2^(s−1), 16/2^(s−1)], through a 3×3 s1 p1 conv.
-  // Legacy is the reference loop; new is the library's kernel, or its layer
-  // in a steady step (kept buffers already sized).
+  // ---- 4. nn glue at 1 and 2 threads ---------------------------------------
+  // Stage s of 1..3 of ResNet-20 width 8 at batch 32 is
+  // [32, 8·2^(s−1), 16/2^(s−1), 16/2^(s−1)], through a 3×3 s1 p1 conv. The
+  // layers run a steady step (kept buffers already sized).
   const int glue_reps = 41;
   for (int stage = 1; stage <= 3; ++stage) {
     const int64_t channels = 8 << (stage - 1), side = 16 >> (stage - 1);
@@ -320,70 +218,87 @@ int main() {
     const Tensor grad_cols = Tensor::randn(nn::im2col(x, 3, 1, 1).shape(), rng);
     nn::ReLU relu;
     nn::BatchNorm2d bn(channels);
-    std::vector<uint8_t> mask;
-    nn::legacy::BatchNorm ref;
-    ref.gamma = Tensor::ones(Shape{channels});
-    ref.beta = ref.gamma_grad = ref.beta_grad = ref.running_mean =
-        Tensor(Shape{channels});
-    ref.running_var = Tensor::ones(Shape{channels});
     for (int threads : {1, 2}) {
       omp_set_num_threads(threads);
-      const auto add = [&](const char* kernel, auto&& legacy, auto&& current) {
-        Row row{kernel + suffix, 0, 0, 0.0, threads};
-        row.legacy_ms = time_ms(legacy, glue_reps);
-        row.new_ms = time_ms(current, glue_reps);
-        rows.push_back(row);
+      const auto glue = [&](const char* kernel, auto&& fn) {
+        record(config(kernel + suffix, threads), bench::time_ms(fn, glue_reps),
+               0.0);
       };
-      add("im2col", [&] { nn::legacy::im2col(x, 3, 1, 1); },
-          [&] { nn::im2col(x, 3, 1, 1); });
-      add("col2im", [&] { nn::legacy::col2im(grad_cols, shape, 3, 1, 1); },
-          [&] { nn::col2im(grad_cols, shape, 3, 1, 1); });
-      add("relu_fwd", [&] { nn::legacy::relu_forward(x, mask); },
-          [&] { relu.forward(x); });
-      add("relu_bwd", [&] { nn::legacy::relu_backward(dy, mask); },
-          [&] { relu.backward(dy); });
-      add("batchnorm_fwd", [&] { nn::legacy::batchnorm_forward(ref, x, true); },
-          [&] { bn.forward(x); });
-      add("batchnorm_bwd", [&] { nn::legacy::batchnorm_backward(ref, dy); },
-          [&] { bn.backward(dy); });
+      glue("im2col", [&] { nn::im2col(x, 3, 1, 1); });
+      glue("col2im", [&] { nn::col2im(grad_cols, shape, 3, 1, 1); });
+      glue("relu_fwd", [&] { relu.forward(x); });
+      glue("relu_bwd", [&] { relu.backward(dy); });
+      glue("batchnorm_fwd", [&] { bn.forward(x); });
+      glue("batchnorm_bwd", [&] { bn.backward(dy); });
     }
   }
-  omp_set_num_threads(1);
 
-  // ---- report -------------------------------------------------------------
-  std::printf("\n%-28s %7s %12s %12s %10s %10s %9s\n", "kernel", "threads",
-              "legacy ms", "new ms", "legacy GF", "new GF", "speedup");
-  for (const Row& row : rows) {
-    const double speedup =
-        row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms : 0.0;
-    std::printf("%-28s %7d %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
-                row.kernel.c_str(), row.threads, row.legacy_ms, row.new_ms,
-                gflops(row.flops, row.legacy_ms), gflops(row.flops, row.new_ms),
-                speedup);
+  // ---- 5. batched vs serial factor decompositions --------------------------
+  // A ResNet-ish rank's factor multiset: many small A/G factors, a couple of
+  // large ones. The serial reference decomposes them one at a time (each
+  // free to use intra-matrix parallelism); the scheduler overlaps the small
+  // ones across the team instead.
+  const std::vector<int64_t> dims{27,  64,  64,  73,  128, 144, 147,
+                                  160, 192, 256, 288, 512, 576};
+  std::vector<Tensor> factors;
+  factors.reserve(dims.size());
+  for (size_t i = 0; i < dims.size(); ++i) {
+    factors.push_back(make_spd(dims[i], 10 + i));
   }
-
-  FILE* json = std::fopen("BENCH_kernels.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"ablation_kernels\",\n");
-    std::fprintf(json, "  \"results\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      const double speedup =
-          row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms
-                                                  : 0.0;
-      std::fprintf(json,
-                   "    {\"kernel\": \"%s\", \"threads\": %d, "
-                   "\"legacy_ms\": %.4f, \"new_ms\": %.4f, "
-                   "\"legacy_gflops\": %.3f, \"new_gflops\": %.3f, "
-                   "\"speedup\": %.3f}%s\n",
-                   row.kernel.c_str(), row.threads, row.legacy_ms, row.new_ms,
-                   gflops(row.flops, row.legacy_ms),
-                   gflops(row.flops, row.new_ms), speedup,
-                   i + 1 < rows.size() ? "," : "");
+  std::printf("\n%-16s %10s %10s %8s %6s %6s %8s\n", "config", "serial ms",
+              "batched ms", "speedup", "intra", "inter", "bitwise");
+  for (int threads : {1, 2, 4}) {
+    if (threads > omp_get_num_procs()) break;
+    omp_set_num_threads(threads);
+    std::vector<linalg::SymEig> serial_out(dims.size());
+    std::vector<linalg::SymEig> batched_out(dims.size());
+    const double serial_ms = bench::time_ms(
+        [&] {
+          for (size_t i = 0; i < factors.size(); ++i) {
+            serial_out[i] = linalg::sym_eig(factors[i]);
+          }
+        },
+        3);
+    linalg::BatchReport report;
+    const double batched_ms = bench::time_ms(
+        [&] {
+          std::vector<linalg::BatchTask> tasks;
+          tasks.reserve(factors.size());
+          for (size_t i = 0; i < factors.size(); ++i) {
+            tasks.push_back({dims[i], [&, i] {
+                               batched_out[i] = linalg::sym_eig(factors[i]);
+                             }});
+          }
+          report = linalg::run_decomposition_batch(tasks);
+        },
+        3);
+    bool bitwise = true;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      const size_t d = static_cast<size_t>(dims[i]);
+      bitwise = bitwise &&
+                std::memcmp(serial_out[i].values.data(),
+                            batched_out[i].values.data(),
+                            d * sizeof(float)) == 0 &&
+                std::memcmp(serial_out[i].vectors.data(),
+                            batched_out[i].vectors.data(),
+                            d * d * sizeof(float)) == 0;
     }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_kernels.json\n");
+    const std::string cfg = config("decomp_batch", threads);
+    const double speedup = batched_ms > 0.0 ? serial_ms / batched_ms : 0.0;
+    ledger.add(cfg, "factors", static_cast<double>(dims.size()));
+    ledger.add(cfg, "serial_ms", serial_ms);
+    ledger.add(cfg, "batched_ms", batched_ms);
+    ledger.add(cfg, "speedup", speedup);
+    ledger.add(cfg, "intra_tasks", static_cast<double>(report.intra_tasks));
+    ledger.add(cfg, "inter_tasks", static_cast<double>(report.inter_tasks));
+    ledger.add(cfg, "bitwise_match", bitwise ? 1.0 : 0.0);
+    std::printf("%-16s %10.2f %10.2f %7.2fx %6lld %6lld %8s\n", cfg.c_str(),
+                serial_ms, batched_ms, speedup,
+                static_cast<long long>(report.intra_tasks),
+                static_cast<long long>(report.inter_tasks),
+                bitwise ? "true" : "false");
   }
+
+  ledger.write();
   return 0;
 }

@@ -17,18 +17,20 @@
 // Modes are interleaved across repetitions and the fastest rep per mode
 // is kept, so machine noise hits all three equally. The run fails (exit
 // 1) if runtime-off costs more than 1% over baseline or fully-on more
-// than 5% — the regression gates CI relies on. Results land in
-// BENCH_trace.json.
+// than 5% — the regression gates CI relies on. Results land in the
+// ablation_trace_overhead rows of LEDGER.jsonl.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
 
 #include "bench_util.hpp"
+#include "ledger.hpp"
 #include "obs/trace.hpp"
 
 int main() {
   using namespace dkfac;
   bench::print_banner("Ablation", "Phase-tracing overhead on the train loop");
+  bench::Ledger ledger("ablation_trace_overhead", bench::yardstick_ms());
 
   const data::SyntheticSpec spec = bench::bench_cifar_spec();
   const train::ModelFactory factory =
@@ -86,8 +88,9 @@ int main() {
 
   const double off_overhead = best_ms[kRuntimeOff] / best_ms[kBaseline] - 1.0;
   const double on_overhead = best_ms[kTracingOn] / best_ms[kBaseline] - 1.0;
-  const bool off_ok = off_overhead < 0.01;
-  const bool on_ok = on_overhead < 0.05;
+  constexpr double kOffBudget = 0.01, kOnBudget = 0.05;
+  const bool off_ok = off_overhead < kOffBudget;
+  const bool on_ok = on_overhead < kOnBudget;
 
   std::printf("\n%-28s %12s %12s %8s\n", "mode", "ms/step", "overhead",
               "budget");
@@ -100,26 +103,16 @@ int main() {
               best_ms[kTracingOn], 100.0 * on_overhead,
               on_ok ? "<5% ok" : "FAIL");
 
-  FILE* json = std::fopen("BENCH_trace.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"bench\": \"ablation_trace_overhead\",\n");
-    std::fprintf(json, "  \"world\": %d,\n  \"reps\": %d,\n", world, kReps);
-    std::fprintf(json,
-                 "  \"baseline_ms_per_step\": %.4f,\n"
-                 "  \"runtime_off_ms_per_step\": %.4f,\n"
-                 "  \"tracing_on_ms_per_step\": %.4f,\n",
-                 best_ms[kBaseline], best_ms[kRuntimeOff],
-                 best_ms[kTracingOn]);
-    std::fprintf(json,
-                 "  \"runtime_off_overhead\": %.4f,\n"
-                 "  \"tracing_on_overhead\": %.4f,\n",
-                 off_overhead, on_overhead);
-    std::fprintf(json,
-                 "  \"budget\": {\"runtime_off\": 0.01, \"tracing_on\": 0.05},\n");
-    std::fprintf(json, "  \"within_budget\": %s\n}\n",
-                 off_ok && on_ok ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote BENCH_trace.json\n");
-  }
+  ledger.add("run", "world", world);
+  ledger.add("run", "reps", kReps);
+  ledger.add("run", "within_budget", off_ok && on_ok ? 1.0 : 0.0);
+  ledger.add("baseline", "ms", best_ms[kBaseline]);
+  ledger.add("runtime_off", "ms", best_ms[kRuntimeOff]);
+  ledger.add("runtime_off", "overhead", off_overhead);
+  ledger.add("runtime_off", "budget", kOffBudget);
+  ledger.add("tracing_on", "ms", best_ms[kTracingOn]);
+  ledger.add("tracing_on", "overhead", on_overhead);
+  ledger.add("tracing_on", "budget", kOnBudget);
+  ledger.write();
   return off_ok && on_ok ? 0 : 1;
 }

@@ -20,7 +20,8 @@ namespace {
 
 // Per-update cost of the two preconditioner construction strategies at a
 // representative factor order, on the blocked decomposition path the
-// trainer actually calls (see BENCH_decomp.json for the full sweep).
+// trainer actually calls (ablation_kernels records the full sweep in
+// LEDGER.jsonl).
 void print_decomposition_cost(int64_t n) {
   using namespace dkfac;
   Rng rng(4);

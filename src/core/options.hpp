@@ -33,6 +33,15 @@ enum class DistributionStrategy {
   kSizeBalanced,
 };
 
+/// The factor interval that goes with an eigendecomposition interval of
+/// `inv_update_freq`: factors refresh 10× as often (§V-C), so inv/10 (min
+/// 1), or 1 when inv is not a multiple of that — every decomposition must
+/// see fresh factors (KfacOptions::validate()).
+inline int factor_update_freq_for(int inv_update_freq) {
+  const int factor = std::max(1, inv_update_freq / 10);
+  return inv_update_freq % factor == 0 ? factor : 1;
+}
+
 struct KfacOptions {
   /// Learning rate of the wrapped optimizer — enters the ν rescale (Eq 18).
   float lr = 0.1f;
@@ -75,11 +84,11 @@ struct KfacOptions {
   comm::Precision factor_precision = comm::Precision::kFp32;
 
   /// Sets both frequencies from the paper's single knob: eigendecompositions
-  /// every `freq`, factors every `freq/10` (min 1).
+  /// every `freq`, factors every factor_update_freq_for(freq).
   KfacOptions& with_update_freq(int freq) {
     DKFAC_CHECK(freq >= 1) << "update frequency must be >= 1";
     inv_update_freq = freq;
-    factor_update_freq = std::max(1, freq / 10);
+    factor_update_freq = factor_update_freq_for(freq);
     return *this;
   }
 

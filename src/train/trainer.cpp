@@ -125,9 +125,7 @@ UpdateFreqs decayed_update_freqs(const TrainConfig& config, int epoch) {
     if (static_cast<float>(epoch) >= fe) interval *= config.freq_decay_factor;
   }
   const int inv = std::max(1, static_cast<int>(interval + 0.5f));
-  int fac = std::max(1, inv / 10);
-  if (inv % fac != 0) fac = 1;  // keep the divisibility contract
-  return {fac, inv};
+  return {kfac::factor_update_freq_for(inv), inv};
 }
 
 TrainResult train_with_comm(const ModelFactory& factory,

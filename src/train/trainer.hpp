@@ -219,8 +219,7 @@ struct UpdateFreqs {
 
 /// K-FAC update intervals for `epoch`: the inverse interval scaled by
 /// `freq_decay_factor` once per crossed threshold, the factor interval
-/// re-derived as inv/10 (min 1) and snapped so inv % fac == 0 — the
-/// divisibility contract KfacOptions::validate() enforces.
+/// re-derived by kfac::factor_update_freq_for.
 UpdateFreqs decayed_update_freqs(const TrainConfig& config, int epoch);
 
 }  // namespace dkfac::train

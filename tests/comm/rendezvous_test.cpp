@@ -12,12 +12,13 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/net/rendezvous.hpp"
 #include "comm/net/wire.hpp"
-#include "common/clock.hpp"
 #include "common/error.hpp"
 
 namespace dkfac::comm::net {
@@ -40,9 +41,9 @@ TEST(Rendezvous, StalledClientCannotStarveTheGroup) {
       welcomed.fetch_add(1);
     });
   }
-  const auto start = Clock::now();
-  server.serve(/*world_size=*/2, /*timeout_s=*/5.0);
-  EXPECT_LT(seconds_since(start), 4.0);
+  // serve throws if the group has not formed by its deadline, so returning
+  // means the staller did not hold the assembly up to it.
+  EXPECT_NO_THROW(server.serve(/*world_size=*/2, /*timeout_s=*/5.0));
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(welcomed.load(), 2);
 }
@@ -88,9 +89,7 @@ TEST(Rendezvous, GarbageHelloDropsOnlyThatClient) {
     EXPECT_EQ(info.rank, 0);
     EXPECT_EQ(info.peer_ports.at(0), 4321);
   });
-  const auto start = Clock::now();
-  server.serve(/*world_size=*/1, /*timeout_s=*/5.0);
-  EXPECT_LT(seconds_since(start), 4.0);
+  EXPECT_NO_THROW(server.serve(/*world_size=*/1, /*timeout_s=*/5.0));
   worker.join();
 }
 
@@ -140,11 +139,16 @@ TEST(Rendezvous, ParkedRegistrationsSurviveAcrossPumpedServeCalls) {
 }
 
 TEST(Rendezvous, ServeGenerationFailsFastBelowMinWorld) {
+  // The min-world check fails the call, not the 5 s assembly deadline.
   RendezvousServer server;
-  const auto start = Clock::now();
-  EXPECT_THROW(server.serve_generation([] { return 1; }, /*min_world=*/2, 5.0),
-               Error);
-  EXPECT_LT(seconds_since(start), 1.0);
+  try {
+    server.serve_generation([] { return 1; }, /*min_world=*/2, 5.0);
+    FAIL() << "serve_generation formed a group below min_world";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("need at least 2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "tensor/random.hpp"
 
@@ -171,14 +170,16 @@ TEST(Wire, RecvTimeoutThrowsQuickly) {
   auto [a, b] = socket_pair();
   (void)a;  // never sends
   std::vector<float> got(4);
-  const auto start = Clock::now();
+  // A hang is caught by the ctest TIMEOUT; what is checked here is that the
+  // deadline, not some other failure, ended the receive.
   try {
     recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 0.2);
     FAIL() << "recv on a silent peer returned";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+    EXPECT_EQ(what.find("closed"), std::string::npos) << what;
   }
-  EXPECT_LT(seconds_since(start), 2.0);  // a timeout, not a hang
 }
 
 TEST(Wire, PeerCloseThrows) {
@@ -269,14 +270,15 @@ void expect_typed_rejection(const std::vector<uint8_t>& stream,
   // immediate peer-close error instead of a timeout wait.
   sender.close();
   std::vector<uint8_t> out;
-  const auto start = Clock::now();
   try {
     recv_frame(receiver, FrameType::kData, /*seq=*/9, out, 2.0);
     FAIL() << what << ": mutated frame was accepted";
-  } catch (const Error&) {
-    // Typed rejection — exactly what the contract demands.
+  } catch (const Error& e) {
+    // Typed rejection — exactly what the contract demands — reached by
+    // parsing or by the peer close, never by waiting out the deadline.
+    EXPECT_EQ(std::string(e.what()).find("timed out"), std::string::npos)
+        << what << ": " << e.what();
   }
-  EXPECT_LT(seconds_since(start), 2.5) << what << ": rejection was not prompt";
 }
 
 TEST(WireFuzz, TruncatedFramesAlwaysRejectTyped) {

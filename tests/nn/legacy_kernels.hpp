@@ -3,7 +3,7 @@
 // per-element bounds checks, the copy-and-branch ReLU, and BatchNorm with
 // serial per-channel reductions. The parity tests assert that the library's
 // kernels reproduce these bit for bit at every thread count, and
-// bench/ablation_kernels times the two side by side.
+// no bench times them: they are an oracle, not a speed baseline.
 #pragma once
 
 #include <cmath>

@@ -187,6 +187,21 @@ TEST(Trainer, DecayedUpdateFreqsKeepDivisibilityContract) {
   EXPECT_EQ(decayed_update_freqs(config, 5).factor_update_freq, 1);
 }
 
+TEST(Trainer, WithUpdateFreqMatchesUndecayedFreqs) {
+  // One rule for the frequency pair: the paper's single knob and the
+  // per-epoch decay derive the factor interval the same way, and the pair
+  // always passes validation (freq 21 must not pair with factor interval 2).
+  TrainConfig config = tiny_config();
+  for (int freq = 1; freq <= 1000; ++freq) {
+    config.kfac.with_update_freq(freq);
+    ASSERT_NO_THROW(config.kfac.validate()) << "freq " << freq;
+    const UpdateFreqs freqs = decayed_update_freqs(config, /*epoch=*/0);
+    ASSERT_EQ(config.kfac.inv_update_freq, freqs.inv_update_freq) << freq;
+    ASSERT_EQ(config.kfac.factor_update_freq, freqs.factor_update_freq)
+        << "freq " << freq;
+  }
+}
+
 TEST(Trainer, OverlapCommMatchesSynchronousBitwise) {
   // The overlapped pipeline reorders WHEN communication happens, never
   // WHAT is reduced: per-epoch metrics must match the synchronous path
